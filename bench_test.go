@@ -293,12 +293,14 @@ func benchmarkPick(b *testing.B, p sched.Policy) {
 
 // benchmarkPickPerEvent advances the clock one second per call so every
 // Pick is the first of a fresh scheduling event: the incremental
-// policies pay their per-event work (scratch copy + scan, or one shadow
-// recomputation) while the reference policies pay the same full rebuild
-// as always. Instants are strictly increasing — the incremental
-// policies' documented monotone-clock contract — and stay far below the
-// running jobs' predicted ends, so every iteration sees the same
-// availability shape.
+// policies pay their per-event work while the reference policies pay
+// the same full rebuild as always. Since nothing fits now, incremental
+// Conservative's work is the scratch copy plus one Profile.Fits pass
+// over the queue: its scan is cut before the first reservation, so no
+// FindStart or Reserve is timed. Instants are strictly increasing — the
+// incremental policies' documented monotone-clock contract — and stay
+// far below the running jobs' predicted ends, so every iteration sees
+// the same availability shape.
 func benchmarkPickPerEvent(b *testing.B, p sched.Policy) {
 	m, queue, now := schedPickState(b, "Metacentrum", 1000)
 	p.Pick(now, m, queue)

@@ -43,6 +43,7 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -52,6 +53,10 @@ import (
 	"repro/internal/swf"
 	"repro/internal/workload"
 )
+
+// shutdownGrace bounds how long a draining server waits for in-flight
+// HTTP responses before closing their connections.
+const shutdownGrace = 5 * time.Second
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -207,7 +212,16 @@ func runServer(ctx context.Context, addr string, opts schedd.Options, traceFile 
 		code = 1
 	}
 	res, runErr := d.Shutdown()
-	srv.Close()
+	// Let in-flight responses finish before the listener goes — the
+	// POST /v1/shutdown reply among them — and cut off only a client
+	// that outlasts the grace period. /v1/events streams have already
+	// ended with the engine. The run context may be canceled by now, so
+	// the deadline does not derive from it.
+	grace, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	if err := srv.Shutdown(grace); err != nil {
+		srv.Close()
+	}
+	cancel()
 	if runErr != nil {
 		fmt.Fprintln(stderr, "schedd:", runErr)
 		return 1

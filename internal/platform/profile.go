@@ -163,30 +163,48 @@ func (p *Profile) FindStart(earliest, duration, procs int64) int64 {
 	if start < p.times[0] {
 		start = p.times[0]
 	}
-	i := p.segmentAt(start)
-	for {
-		// Check whether [start, start+duration) fits from segment i on.
-		fits := true
-		end := start + duration
-		for k := i; k < len(p.times) && p.times[k] < end; k++ {
-			if p.available[k] < procs {
-				fits = false
-				// Restart after this segment.
-				if k+1 < len(p.times) {
-					i = k + 1
-					start = p.times[i]
-				} else {
-					// Last segment lacks capacity and lasts forever: only
-					// possible if procs > total, excluded above.
-					return InfiniteTime
-				}
-				break
-			}
-		}
-		if fits {
+	for i := p.segmentAt(start); ; {
+		k := p.shortSegment(i, start+duration, procs)
+		if k < 0 {
 			return start
 		}
+		if k+1 == len(p.times) {
+			// Last segment lacks capacity and lasts forever: only
+			// possible if procs > total, excluded above.
+			return InfiniteTime
+		}
+		// Restart after the short segment.
+		i = k + 1
+		start = p.times[i]
 	}
+}
+
+// Fits reports whether procs processors are continuously free for
+// duration seconds from start, i.e. whether FindStart(start, duration,
+// procs) would return start, without searching past the first segment
+// that lacks them. Like FindStart it treats duration <= 0 as 1; start
+// must not precede the profile start.
+func (p *Profile) Fits(start, duration, procs int64) bool {
+	if procs > p.total {
+		return false
+	}
+	if duration <= 0 {
+		duration = 1
+	}
+	return p.shortSegment(p.segmentAt(start), start+duration, procs) < 0
+}
+
+// shortSegment returns the first segment from index i on that begins
+// before end and has fewer than procs processors free, or -1 if none
+// does: the window from segment i up to end fits exactly when it
+// returns -1.
+func (p *Profile) shortSegment(i int, end, procs int64) int {
+	for k := i; k < len(p.times) && p.times[k] < end; k++ {
+		if p.available[k] < procs {
+			return k
+		}
+	}
+	return -1
 }
 
 // Reserve subtracts procs processors during [from, to). It panics if the

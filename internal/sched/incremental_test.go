@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/job"
@@ -134,6 +136,64 @@ func TestConservativeDecisionCache(t *testing.T) {
 	c.OnStart(sb, 0)
 	if got = c.Pick(0, m, []*job.Job{wide}); got != nil {
 		t.Fatalf("wide job cannot start now, got job %d", got.ID)
+	}
+}
+
+// TestConservativeCutScanThenSubmit: on a saturated machine the scan
+// stops once no unscanned job fits now, leaving scratch without the
+// later reservations. Same-instant submissions must then either be
+// ruled out against that partial profile or force a rescan; every Pick
+// along the way matches the reference.
+func TestConservativeCutScanThenSubmit(t *testing.T) {
+	const now = 10
+	m := platform.New(10)
+	running(m, 99, 6, 0, 20) // 4 free until t=20
+	c := NewConservative()
+	queue := []*job.Job{
+		waiting(1, 2, 0, 5),   // fits now
+		waiting(2, 9, 1, 100), // would reserve [20,120) but is never scanned
+	}
+	step := func(what string) {
+		t.Helper()
+		for {
+			got := c.Pick(now, m, queue)
+			want := (ReferenceConservative{}).Pick(now, m, queue)
+			if got != want {
+				t.Fatalf("%s: incremental %v, reference %v", what, got, want)
+			}
+			if got == nil {
+				return
+			}
+			got.Start, got.Started = now, true
+			m.Start(got)
+			c.OnStart(got, now)
+			queue = slices.DeleteFunc(queue, func(j *job.Job) bool { return j == got })
+		}
+	}
+	submit := func(j *job.Job) {
+		queue = append(queue, j)
+		c.OnSubmit(j, now)
+		step(fmt.Sprintf("after submitting job %d", j.ID))
+	}
+
+	step("initial scan")
+	if !c.cut {
+		t.Fatal("scan should stop once no unscanned job fits now")
+	}
+	// 5 procs do not fit in [10,15) even without job 2's reservation:
+	// ruled out with the cache kept.
+	submit(waiting(3, 5, now, 5))
+	if !c.cacheOK {
+		t.Fatal("a submission that cannot fit now must not discard the cache")
+	}
+	// Fits the partial profile, but job 2's reservation leaves one
+	// processor from t=20 in the full one: scanning it against the cut
+	// profile would start it wrongly.
+	submit(waiting(4, 2, now, 30))
+	// Fits the full profile too: ignoring it would miss a start.
+	submit(waiting(5, 2, now, 3))
+	if len(queue) != 3 {
+		t.Fatalf("job 5 alone should have started, queue %v", queue)
 	}
 }
 

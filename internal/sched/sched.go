@@ -383,6 +383,14 @@ func (e *EASY) OnCapacityChange(int64, *platform.Machine) { e.resOK = false }
 // job it picked converts the job's queued reservation into an identical
 // running reservation and therefore changes nothing the remaining
 // decisions depend on.
+//
+// The scan also stops early. Reserving only ever removes processors
+// from the scratch profile, so a queued job that cannot start now
+// against the reservations made so far cannot start now against the
+// full set either. Once no job left in the queue fits at now, the
+// remaining reservations could only place jobs later, which no decision
+// at this instant depends on, so the scan ends there with the cache
+// already complete.
 type Conservative struct {
 	m *platform.Machine
 
@@ -397,7 +405,10 @@ type Conservative struct {
 	// scratch is the per-instant scan profile: base, plus [now, now+1)
 	// overlays for overdue running jobs (platform.ReleaseInstant
 	// semantics), plus the queued jobs' reservations in arrival order.
+	// cut reports that the scan stopped early, so scratch lacks the
+	// reservations of the jobs it did not reach.
 	scratch *platform.Profile
+	cut     bool
 
 	// cache lists the jobs whose reservation is exactly now, in queue
 	// order; cacheIdx advances as they start.
@@ -490,7 +501,12 @@ func (c *Conservative) Pick(now int64, m *platform.Machine, queue []*job.Job) *j
 }
 
 // rescan recomputes the queued jobs' reservations for this instant and
-// fills the decision cache.
+// fills the decision cache. It reserves in arrival order only while
+// some job not yet scanned still fits at now: last walks back from the
+// queue end past every job that does not, and once it passes the next
+// job to scan the scan is cut. Reservations only remove processors, so
+// a job that fails the test can never fit at now later in the scan,
+// which keeps the walk one-way and the cut exact.
 func (c *Conservative) rescan(now int64, queue []*job.Job) {
 	c.scratch.CopyFrom(c.base)
 	// Overlay overdue running jobs: their processors are demonstrably
@@ -514,7 +530,16 @@ func (c *Conservative) rescan(now int64, queue []*job.Job) {
 		c.scratch.Reserve(now, now+1, c.ends[o.id].procs)
 	}
 	c.cache = c.cache[:0]
-	for _, j := range queue {
+	c.cut = false
+	last := len(queue) - 1
+	for k, j := range queue {
+		for last >= k && !c.fitsNow(queue[last], now) {
+			last--
+		}
+		if last < k {
+			c.cut = true
+			break
+		}
 		c.scanJob(j, now)
 	}
 	c.cacheNow = now
@@ -538,15 +563,27 @@ func (c *Conservative) scanJob(j *job.Job, now int64) {
 	}
 }
 
+// fitsNow reports whether j could start at now against the scratch
+// profile's current reservations.
+func (c *Conservative) fitsNow(j *job.Job, now int64) bool {
+	return c.scratch.Fits(now, j.Prediction, j.Procs)
+}
+
 // OnSubmit implements Policy. A job submitted at the cached instant
 // scans last in arrival order, so the reservations already computed are
-// unaffected: extend the cached scan instead of discarding it.
+// unaffected: extend the cached scan instead of discarding it. After a
+// cut scan, scratch lacks the unscanned jobs' reservations; a newcomer
+// that does not fit at now even so cannot start now, and one that does
+// needs the full scan, so the next Pick rescans.
 func (c *Conservative) OnSubmit(j *job.Job, now int64) {
-	if c.cacheOK && c.cacheNow == now {
+	switch {
+	case !c.cacheOK || c.cacheNow != now:
+		c.cacheOK = false
+	case !c.cut:
 		c.scanJob(j, now)
-		return
+	case c.fitsNow(j, now):
+		c.cacheOK = false
 	}
-	c.cacheOK = false
 }
 
 // OnStart implements Policy: the start converts the job's queued
