@@ -1,6 +1,9 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -32,5 +35,27 @@ func TestTraceConflict(t *testing.T) {
 				t.Fatalf("conflict %q does not mention %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestRemovedShardsFlag: the sharded driver is gone, and so is its
+// -shards flag; passing it must exit 2 through flag.Parse instead of
+// being ignored. main os.Exits, so the test re-runs its own binary with
+// the flag.
+func TestRemovedShardsFlag(t *testing.T) {
+	if os.Getenv("CAMPAIGN_TEST_MAIN") == "1" {
+		os.Args = []string{"campaign", "-clusters", "100,100", "-stream", "-shards", "2"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRemovedShardsFlag$")
+	cmd.Env = append(os.Environ(), "CAMPAIGN_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("campaign -shards 2: %v, want exit 2 (output: %s)", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -shards") {
+		t.Fatalf("output does not name the removed flag:\n%s", out)
 	}
 }

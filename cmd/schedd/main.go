@@ -58,6 +58,17 @@ import (
 // HTTP responses before closing their connections.
 const shutdownGrace = 5 * time.Second
 
+// readHeaderTimeout cuts off a connection that has not finished its
+// request header, so a client that opens a socket and stalls cannot pin
+// a goroutine and a file descriptor until the process exits;
+// idleTimeout closes keep-alive connections nobody reuses. There is
+// deliberately no write timeout: /v1/events streams are long-lived.
+// They are variables only so tests can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -197,7 +208,7 @@ func runServer(ctx context.Context, addr string, opts schedd.Options, traceFile 
 		return 1
 	}
 	fmt.Fprintf(stderr, "schedd: listening on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: d.Handler()}
+	srv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

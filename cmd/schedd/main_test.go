@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -205,5 +207,41 @@ func TestServeSpecAndSignal(t *testing.T) {
 		if !strings.Contains(out, line) {
 			t.Errorf("summary missing %q:\n%s", line, out)
 		}
+	}
+}
+
+// TestServeDropsStalledHeader: a raw TCP client that writes a partial
+// request line and then stalls is disconnected once the read-header
+// timeout passes, instead of holding its connection open indefinitely.
+func TestServeDropsStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	base, exit, _, stderr := startServer(t, []string{"-addr", "127.0.0.1:0", "-maxprocs", "64"})
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /v1/metr")); err != nil {
+		t.Fatal(err)
+	}
+	// ReadAll returns nil at EOF: the server hung up. Our own deadline
+	// firing first means it never did.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection still open after %v: %v", time.Since(start), err)
+	}
+
+	resp, err := http.Post(base+"/v1/shutdown", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if code := <-exit; code != 0 {
+		t.Fatalf("server exit %d, stderr: %s", code, stderr.String())
 	}
 }

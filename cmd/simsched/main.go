@@ -84,7 +84,6 @@ type options struct {
 	lossName    string
 	corrector   string
 	stream      bool
-	shards      int
 	clusters    []platform.Cluster
 	routing     string
 	traceFile   string
@@ -115,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.lossName, "loss", ml.ELoss.Name(), "ML loss, e.g. \"over=sq,under=lin,w=largearea\"")
 	fs.StringVar(&o.corrector, "corrector", "incremental", "correction: requested | incremental | doubling")
 	fs.BoolVar(&o.stream, "stream", false, "bounded-memory run: pull the workload lazily (SWF from disk, or the streaming generator for presets) and compute metrics one-pass; peak memory is O(live jobs), so million-job traces fit")
-	fs.IntVar(&o.shards, "shards", 0, "with -clusters and -stream: run the parallel sharded federated driver with this many per-cluster event-loop goroutines (0 = sequential; results are byte-identical for every shard count)")
 	clustersFlag := fs.String("clusters", "", "federated platform: comma-separated NAME=PROCS[xSPEED] entries (e.g. \"100,64x1.5,slow=32x0.5\"); empty = classic single machine")
 	fs.StringVar(&o.routing, "routing", "", "routing policy in front of -clusters: "+sched.RouterNames+" (default round-robin)")
 	fs.StringVar(&o.traceFile, "trace", "", "append the structured decision trace (JSONL; summarize with tracestat) to this file")
@@ -176,17 +174,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if o.routing != "" && *clustersFlag == "" {
 		return usage("-routing needs -clusters (a single machine has nothing to route)")
-	}
-	if set["shards"] {
-		if o.shards < 0 {
-			return usage("-shards must be >= 0 (0 = sequential), got %d", o.shards)
-		}
-		if *clustersFlag == "" {
-			return usage("-shards needs -clusters (the sharded driver is federated)")
-		}
-		if !o.stream {
-			return usage("-shards needs -stream (the sharded driver is the streaming engine)")
-		}
 	}
 	if msg := traceConflict(o.traceFile, o.cpuProfile, o.memProfile); msg != "" {
 		return usage("%s", msg)
@@ -338,7 +325,6 @@ func runFederatedStreaming(o options, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fed.Shards = o.shards
 	col := metrics.NewFederated(len(o.clusters))
 	fed.Sink = col
 

@@ -38,6 +38,8 @@ func TestUsageErrors(t *testing.T) {
 		{"trace-cpuprofile-collision", []string{"-trace", "out.x", "-cpuprofile", "out.x"}, "-trace and -cpuprofile both write out.x"},
 		{"trace-memprofile-collision", []string{"-trace", "out.x", "-memprofile", "out.x"}, "-trace and -memprofile both write out.x"},
 		{"unknown-flag", []string{"-flood", "everything"}, ""},
+		// The sharded driver is gone; its flag must fail, not be ignored.
+		{"removed-shards", []string{"-clusters", "100,100", "-stream", "-shards", "2"}, "flag provided but not defined: -shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

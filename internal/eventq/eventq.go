@@ -11,13 +11,10 @@
 // (time, kind, sequence) is a total order — the sequence counter makes
 // every event unique — so the pop order is one canonical permutation of
 // the pushed events regardless of heap internals, backing-array
-// capacity, or how the queue was grown. Reserve and Reset let the
-// simulation drivers pool the backing array across runs without
-// touching that order: a reused queue is allocation-free on the hot
-// path and still pops the exact sequence a fresh queue would. Each
-// per-cluster event loop in the sharded federated driver owns its own
-// Queue, so cross-shard concurrency never reorders same-instant events
-// within a cluster.
+// capacity, or how the queue was grown. Reserve sizes the backing array
+// up front without touching that order: pushes into reserved capacity
+// are allocation-free and pop the exact sequence an unreserved queue
+// would.
 package eventq
 
 // Kind classifies simulation events. The numeric order is the processing
@@ -80,10 +77,9 @@ type Queue[T any] struct {
 func (q *Queue[T]) Len() int { return len(q.items) }
 
 // Reserve grows the queue's backing array so it can hold at least n
-// events without reallocating — the drivers' event-node pool. A
-// preloading run reserves its whole trace up front; a streaming run's
-// queue stays at the live-event watermark, so after warm-up no push
-// allocates.
+// events without reallocating. A preloading run reserves its whole
+// trace up front; a streaming run's queue stays at the live-event
+// watermark, so after warm-up no push allocates.
 func (q *Queue[T]) Reserve(n int) {
 	if cap(q.items) >= n {
 		return
@@ -91,14 +87,6 @@ func (q *Queue[T]) Reserve(n int) {
 	items := make([]Event[T], len(q.items), n)
 	copy(items, q.items)
 	q.items = items
-}
-
-// Reset empties the queue but keeps its backing array and its sequence
-// counter, so a reused queue stays allocation-free and later pushes
-// still order after everything that came before.
-func (q *Queue[T]) Reset() {
-	clear(q.items)
-	q.items = q.items[:0]
 }
 
 // Push schedules an event.
@@ -123,17 +111,6 @@ func (q *Queue[T]) Pop() (Event[T], bool) {
 		q.down(0)
 	}
 	return top, true
-}
-
-// Peek returns the ordering key — timestamp and kind — of the earliest
-// event without removing it. The third return value is false when the
-// queue is empty. The sharded federated driver uses it to advance a
-// shard-local queue exactly up to a sequencing cutoff.
-func (q *Queue[T]) Peek() (int64, Kind, bool) {
-	if len(q.items) == 0 {
-		return 0, 0, false
-	}
-	return q.items[0].Time, q.items[0].Kind, true
 }
 
 // PeekTime returns the timestamp of the earliest event without removing

@@ -244,15 +244,22 @@ func TestRandomizedVsStableSort(t *testing.T) {
 	}
 }
 
-func TestReserveAndResetKeepPoolAndOrder(t *testing.T) {
+func TestReserveKeepsPoolAndOrder(t *testing.T) {
 	var q Queue[int]
 	q.Reserve(64)
 	if got := cap(q.items); got < 64 {
 		t.Fatalf("cap after Reserve(64) = %d", got)
 	}
-	base := allocsPerPush(&q, 64)
-	if base != 0 {
-		t.Fatalf("pushes into reserved capacity allocated %v times", base)
+	// AllocsPerRun calls the function twice (one warm-up run): 64 pushes.
+	n := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 32; i++ {
+			q.Push(5, Submit, n)
+			n++
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("pushes into reserved capacity allocated %v times", allocs)
 	}
 	// Reserve below current capacity is a no-op.
 	before := cap(q.items)
@@ -260,53 +267,30 @@ func TestReserveAndResetKeepPoolAndOrder(t *testing.T) {
 	if cap(q.items) != before {
 		t.Fatalf("shrinking Reserve changed capacity %d -> %d", before, cap(q.items))
 	}
-
-	// Reset keeps the backing array and the sequence counter: a pushed
-	// event after Reset must order after pre-Reset pushes would have.
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", q.Len())
-	}
-	if cap(q.items) != before {
-		t.Fatalf("Reset dropped the backing array: cap %d -> %d", before, cap(q.items))
-	}
-	q.Push(5, Submit, 1)
-	q.Push(5, Submit, 2)
-	e1, _ := q.Pop()
-	e2, _ := q.Pop()
-	if e1.Payload != 1 || e2.Payload != 2 {
-		t.Fatalf("same-instant order after Reset: got %d then %d", e1.Payload, e2.Payload)
-	}
-}
-
-func allocsPerPush(q *Queue[int], n int) float64 {
-	return testing.AllocsPerRun(1, func() {
-		q.Reset()
-		for i := 0; i < n; i++ {
-			q.Push(int64(i), Submit, i)
+	// Reserving more than the current capacity copies the pending events
+	// and keeps their same-instant insertion order.
+	q.Reserve(4 * before)
+	for want := 0; want < 64; want++ {
+		e, ok := q.Pop()
+		if !ok || e.Payload != want {
+			t.Fatalf("pop %d after growing Reserve: got %d (ok=%v)", want, e.Payload, ok)
 		}
-	})
+	}
 }
 
 func TestPeekMatchesPop(t *testing.T) {
 	var q Queue[string]
-	if _, _, ok := q.Peek(); ok {
-		t.Fatal("Peek on an empty queue reported an event")
-	}
 	if _, ok := q.PeekTime(); ok {
 		t.Fatal("PeekTime on an empty queue reported an event")
 	}
 	q.Push(9, Submit, "later")
 	q.Push(3, Finish, "first")
-	at, kind, ok := q.Peek()
-	if !ok || at != 3 || kind != Finish {
-		t.Fatalf("Peek = (%d, %v, %v), want (3, finish, true)", at, kind, ok)
-	}
-	if tt, ok := q.PeekTime(); !ok || tt != 3 {
-		t.Fatalf("PeekTime = (%d, %v), want (3, true)", tt, ok)
+	at, ok := q.PeekTime()
+	if !ok || at != 3 {
+		t.Fatalf("PeekTime = (%d, %v), want (3, true)", at, ok)
 	}
 	e, _ := q.Pop()
-	if e.Time != at || e.Kind != kind || e.Payload != "first" {
-		t.Fatalf("Pop %+v does not match the preceding Peek (%d, %v)", e, at, kind)
+	if e.Time != at || e.Payload != "first" {
+		t.Fatalf("Pop %+v does not match the preceding PeekTime %d", e, at)
 	}
 }

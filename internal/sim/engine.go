@@ -14,12 +14,11 @@ import (
 	"repro/internal/sched"
 )
 
-// payload is the event-queue payload: a job for job events, a processor
-// count for capacity events. Streaming cancellations carry the target's
-// job ID instead of a pointer (the job may not have been pulled from the
-// source yet); the handler resolves it through the engine's target map.
-// cluster aims a Drain or Restore at one member of a federated platform
-// (always 0 on single-machine runs).
+// payload is the event-queue payload: a job for Submit, Finish and
+// Expiry events, the target's job ID for Cancel events (resolved
+// through the engine's ID index when they pop, since the job may not
+// have been admitted yet), and a processor count plus a cluster index
+// for Drain and Restore (cluster is always 0 on single-machine runs).
 type payload struct {
 	j       *job.Job
 	procs   int64
@@ -27,15 +26,19 @@ type payload struct {
 	cluster int
 }
 
-// cancelTarget is the bounded bookkeeping a streaming run keeps for each
-// job named by the scenario's cancellation events — the only jobs whose
-// identity must be tracked across the whole run. The map is sized by the
-// script, not the trace, so it is part of the O(window) envelope.
-type cancelTarget struct {
-	// j is the live job once submitted, nil before submission and after
-	// the job leaves the system (so retired jobs stay collectable).
+// idEntry is the ID index's record of one job ID a cancellation can
+// name. The index holds only such IDs — the script's cancel targets on
+// preloaded and streamed runs, every live job on live runs — so it is
+// sized by the script or the live set, never by the trace.
+type idEntry struct {
+	// j is the job while it is in the system: nil before admission and
+	// after it leaves, so retired jobs stay collectable.
 	j *job.Job
-	// bound marks that the stream delivered the job.
+	// named marks an ID a cancellation names. A named entry outlives its
+	// job, so a later cancel finds it finished instead of absent; an
+	// unnamed one (a live job nothing has named yet) leaves with its job.
+	named bool
+	// bound marks that the intake delivered a job with this ID.
 	bound bool
 	// canceled / finished mirror the job's terminal state.
 	canceled bool
@@ -61,13 +64,12 @@ type clusterState struct {
 	sub *ClusterResult
 }
 
-// engine is the shared event core all drivers run: Run/RunFederated
-// (preloading) and RunStream/RunFederatedStream (bounded memory)
-// construct one, seed its event queue, and feed popped events to handle.
-// All scheduling semantics live here so the paths cannot drift. The
-// engine drives one event loop over N independent cluster states; every
-// event affects exactly one cluster, and only that cluster's policy is
-// offered start decisions at the event's instant.
+// engine is the one event core every entry point runs: setup builds it,
+// an intake admits jobs, and run (loop.go) feeds popped events to
+// handle. All scheduling semantics live here, so the entry points cannot
+// drift. The engine drives one event loop over N independent cluster
+// states; every event affects exactly one cluster, and only that
+// cluster's policy is offered start decisions at the event's instant.
 type engine struct {
 	corrector correct.Corrector
 	clusters  []*clusterState
@@ -80,17 +82,26 @@ type engine struct {
 	q     eventq.Queue[payload]
 	sink  JobSink
 	res   *Result
-	// targets is non-nil only on streaming runs with a cancellation
-	// script; see cancelTarget.
-	targets map[int64]*cancelTarget
-	// arena, when non-nil (streaming runs), recycles a job's slot after
-	// its natural completion retires it. Only the Finish path recycles:
-	// a killed job may still have its original Finish event (and stale
-	// expiries) queued, so its slot must stay untouched until the run
-	// ends. A naturally finished job has no queued events left — every
-	// expiry instant is strictly before the completion instant — and by
-	// the JobSink contract no observer retains the pointer.
+	start time.Time
+	// widest is the admission bound: the widest cluster's size.
+	widest int64
+	// ids is the ID index (see idEntry), nil when nothing can cancel.
+	// indexLive makes admission index every job (live runs, where any
+	// later command may name any job still in the system).
+	ids       map[int64]*idEntry
+	indexLive bool
+	// arena, when non-nil (streamed and live runs), recycles a job's
+	// slot after its natural completion retires it. Only the Finish path
+	// recycles: a killed job may still have its original Finish event
+	// (and stale expiries) queued, so its slot must stay untouched until
+	// the run ends. A naturally finished job has no queued events left —
+	// every expiry instant is strictly before the completion instant —
+	// and by the JobSink contract no observer retains the pointer.
 	arena *job.Arena
+	// lastTime and cutoff are the command intake's clock: the latest
+	// command instant, and the latest advance promise (see run).
+	lastTime int64
+	cutoff   int64
 
 	// Flight-recorder state (trace.go). tracer and prof are nil on
 	// unobserved runs; timed caches whether either is live so the hot
@@ -100,22 +111,53 @@ type engine struct {
 	timed   bool
 	eligIdx []int
 	elig    []string
-
-	// onPush, when non-nil, observes every cluster-local event (Finish,
-	// Expiry) the engine schedules. The traced sharded driver uses it to
-	// record push parentage for the deterministic trace replay
-	// (parallel.go); every other run leaves it nil.
-	onPush func(t int64, k eventq.Kind)
 }
 
-// push schedules a cluster-local event, notifying the push observer on
-// instrumented sharded runs. Every Finish/Expiry push goes through
-// here; the global kinds are pushed by the drivers directly.
-func (e *engine) push(t int64, k eventq.Kind, p payload) {
-	e.q.Push(t, k, p)
-	if e.onPush != nil {
-		e.onPush(t, k)
+// newEngine is the one constructor. clusters holds one triple session
+// per platform member, already checked (checkConfig). A nil router makes a single-machine run: its sole
+// cluster keeps no name and no per-cluster result slot, so its counters
+// live on the Result alone, exactly as before federation existed.
+// runWide carries the run-wide Sink, Tracer and Profile.
+func newEngine(name string, clusters []platform.Cluster, sessions []Config, router sched.Router, runWide Config) *engine {
+	e := &engine{
+		router:   router,
+		sink:     runWide.Sink,
+		start:    time.Now(),
+		lastTime: math.MinInt64,
+		cutoff:   math.MinInt64,
+		res:      &Result{Workload: name, MaxProcs: platform.ClustersTotal(clusters)},
 	}
+	if router != nil {
+		e.views = make([]sched.ClusterState, len(clusters))
+		e.res.Routing = router.Name()
+		e.res.Clusters = make([]ClusterResult, len(clusters))
+	}
+	for i, c := range clusters {
+		cfg := sessions[i]
+		if i == 0 {
+			e.res.Triple = cfg.Name()
+			e.corrector = cfg.Corrector
+			if e.corrector == nil {
+				e.corrector = correct.RequestedTime{}
+			}
+		}
+		cs := &clusterState{
+			name:      c.Name,
+			speed:     c.SpeedFactor(),
+			machine:   platform.New(c.Procs),
+			queue:     make([]*job.Job, 0, 64),
+			policy:    cfg.Policy,
+			predictor: cfg.Predictor,
+		}
+		if router != nil {
+			e.res.Clusters[i] = ClusterResult{Name: c.Name, MaxProcs: c.Procs, Speed: c.SpeedFactor()}
+			cs.sub = &e.res.Clusters[i]
+		}
+		e.clusters = append(e.clusters, cs)
+		e.widest = max(e.widest, c.Procs)
+	}
+	e.instrument(runWide.Tracer, runWide.Profile)
+	return e
 }
 
 // scaleTime converts a reference-speed duration to a cluster running at
@@ -190,9 +232,9 @@ func (e *engine) startJob(c *clusterState, j *job.Job, now int64) {
 	if e.tracer != nil {
 		e.traceStart(c, j, now)
 	}
-	e.push(now+j.Runtime, eventq.Finish, payload{j: j})
+	e.q.Push(now+j.Runtime, eventq.Finish, payload{j: j})
 	if j.Prediction < j.Runtime {
-		e.push(now+j.Prediction, eventq.Expiry, payload{j: j})
+		e.q.Push(now+j.Prediction, eventq.Expiry, payload{j: j})
 	}
 }
 
@@ -242,15 +284,6 @@ func (e *engine) release(c *clusterState, j *job.Job) (capacityChanged bool) {
 	return c.machine.Capacity() != before
 }
 
-// target returns the streaming cancel bookkeeping for a job ID, nil when
-// not tracked (preloading runs, or jobs no script event names).
-func (e *engine) target(id int64) *cancelTarget {
-	if e.targets == nil {
-		return nil
-	}
-	return e.targets[id]
-}
-
 // noteEnd folds a job's completion instant into the global and
 // per-cluster makespans.
 func (e *engine) noteEnd(c *clusterState, end int64) {
@@ -262,17 +295,20 @@ func (e *engine) noteEnd(c *clusterState, end int64) {
 	}
 }
 
-// retire marks a job's exit from the system: it is counted, its cancel
-// bookkeeping (if any) is closed so the pointer can be collected, and
+// retire marks a job's exit from the system: it is counted, its ID
+// index entry (if any) is closed so the pointer can be collected, and
 // the sink observes its realized schedule.
 func (e *engine) retire(c *clusterState, j *job.Job) {
 	e.res.Finished++
 	if c.sub != nil {
 		c.sub.Finished++
 	}
-	if tgt := e.target(j.ID); tgt != nil {
-		tgt.finished = true
-		tgt.j = nil
+	if ent := e.ids[j.ID]; ent != nil {
+		if ent.named {
+			ent.finished, ent.j = true, nil
+		} else {
+			delete(e.ids, j.ID)
+		}
 	}
 	if e.sink != nil {
 		e.sink.Observe(j)
@@ -329,7 +365,7 @@ func (e *engine) handle(ev eventq.Event[payload]) {
 		}
 	case eventq.Cancel:
 		var runPass bool
-		c, runPass = e.handleCancel(ev.Payload, now)
+		c, runPass = e.handleCancel(ev.Payload.id, now)
 		if !runPass {
 			return
 		}
@@ -390,7 +426,7 @@ func (e *engine) handle(ev eventq.Event[payload]) {
 			e.traceCorrect(c, j, now)
 		}
 		if j.PredictedEnd() < j.Start+j.Runtime {
-			e.push(j.PredictedEnd(), eventq.Expiry, payload{j: j})
+			e.q.Push(j.PredictedEnd(), eventq.Expiry, payload{j: j})
 		}
 	}
 	if c.sub != nil {
@@ -403,33 +439,23 @@ func (e *engine) handle(ev eventq.Event[payload]) {
 // its cluster's queue, or killing it mid-run — and reports the affected
 // cluster and whether the scheduling pass should run (false only for
 // stale cancellations).
-func (e *engine) handleCancel(p payload, now int64) (c *clusterState, runPass bool) {
-	j := p.j
-	if j == nil {
-		// Streaming: resolve the target by ID. An unbound entry is a job
-		// the source has not delivered yet (or never will): mark it so a
-		// later submission is dropped on arrival — the preloading path's
-		// "canceled before submission".
-		tgt := e.target(p.id)
-		if tgt == nil || tgt.finished || tgt.canceled {
-			return nil, false
-		}
-		if tgt.j == nil {
-			tgt.canceled = true
-			// The job was never routed, so no cluster state changed; the
-			// pass runs where a single-machine run would run it.
-			return e.clusters[0], true
-		}
-		j = tgt.j
+func (e *engine) handleCancel(id, now int64) (c *clusterState, runPass bool) {
+	ent := e.ids[id]
+	if ent == nil || ent.finished || ent.canceled {
+		return nil, false // stale: absent, already completed or already canceled
 	}
-	if j.Finished || j.Canceled {
-		return nil, false // stale: already completed or already canceled
+	if ent.j == nil {
+		// Not admitted yet (or never will be): mark the ID so a later
+		// admission is dropped on arrival. The job was never routed, so
+		// no cluster state changed; the pass runs where a single-machine
+		// run would run it.
+		ent.canceled = true
+		return e.clusters[0], true
 	}
+	j := ent.j
+	ent.canceled = true
 	j.Canceled = true
 	e.res.Canceled++
-	if tgt := e.target(j.ID); tgt != nil {
-		tgt.canceled = true
-	}
 	c = e.clusters[j.Cluster]
 	if e.tracer != nil && j.Started {
 		e.traceCancel(c, j, now)
@@ -487,9 +513,7 @@ func (e *engine) handleCancel(p payload, now int64) (c *clusterState, runPass bo
 			e.traceCancel(nil, j, now)
 		}
 	}
-	if tgt := e.target(j.ID); tgt != nil {
-		tgt.j = nil // never runs; release the pointer
-	}
+	ent.j = nil // never runs; release the pointer
 	return c, true
 }
 

@@ -2,16 +2,11 @@ package sim
 
 import (
 	"fmt"
-	"io"
-	"time"
 
-	"repro/internal/eventq"
-	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/swf"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -50,161 +45,34 @@ type FederatedConfig struct {
 	// per-cluster session Configs must leave them unset.
 	Tracer  obs.Tracer
 	Profile bool
-	// Shards selects the parallel sharded driver for RunFederatedStream:
-	// 0 (the default) runs the classic sequential event loop; N >= 1
-	// spreads the clusters over min(N, len(Clusters)) worker goroutines,
-	// each running its own event loop, with the router acting as the
-	// sequencing boundary (see parallel.go). The parallel path produces
-	// byte-identical Results and per-cluster observation sequences for
-	// every shard count; Shards == 1 additionally reproduces the
-	// sequential driver's global trace and sink order byte for byte.
-	// With Shards >= 2 a non-nil Sink must implement ClusterSink, and
-	// Profile is unsupported (stage timings of concurrent loops would
-	// not be comparable). RunFederated ignores Shards.
-	Shards int
 }
 
-// ClusterSink is the shard-safe flavor of JobSink a parallel federated
-// run needs when more than one worker retires jobs concurrently:
-// instead of one global observer, the sink hands out one independent
-// observer per cluster, and each worker feeds only the observers of the
-// clusters it owns. ClusterObserver's result must implement JobSink
-// (checked at setup); it is called once per cluster before the run
-// starts. metrics.Federated is the canonical implementation.
-type ClusterSink interface {
-	JobSink
-	// ClusterObserver returns the observer for one cluster (platform
-	// order index). The returned value must implement JobSink.
-	ClusterObserver(cluster int) any
-}
-
-// setup validates the config and builds the N-cluster engine. maxTotal
-// is the widest single cluster — the admission bound for any job.
-func (fed FederatedConfig) setup() (e *engine, res *Result, maxTotal int64, err error) {
+// setup validates the config and builds the N-cluster engine, calling
+// Session once per cluster.
+func (fed FederatedConfig) setup(name string) (*engine, error) {
 	clusters, err := platform.Normalize(fed.Clusters)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	if fed.Session == nil {
-		return nil, nil, 0, fmt.Errorf("sim: federated run needs a Session factory")
+		return nil, fmt.Errorf("sim: federated run needs a Session factory")
+	}
+	sessions := make([]Config, len(clusters))
+	for i, c := range clusters {
+		cfg := fed.Session()
+		if err := checkConfig(cfg); err != nil {
+			return nil, fmt.Errorf("sim: cluster %s session: %w", c.Name, err)
+		}
+		if cfg.Script != nil || cfg.Sink != nil || cfg.Tracer != nil || cfg.Profile {
+			return nil, fmt.Errorf("sim: cluster %s session: Script, Sink, Tracer and Profile belong on FederatedConfig, not the per-cluster Config", c.Name)
+		}
+		sessions[i] = cfg
 	}
 	router := fed.Router
 	if router == nil {
 		router = &sched.RoundRobin{}
 	}
-	res = &Result{
-		MaxProcs: platform.ClustersTotal(clusters),
-		Routing:  router.Name(),
-		Clusters: make([]ClusterResult, len(clusters)),
-	}
-	e = &engine{
-		router: router,
-		views:  make([]sched.ClusterState, len(clusters)),
-		sink:   fed.Sink,
-		res:    res,
-	}
-	e.instrument(fed.Tracer, fed.Profile)
-	for i, c := range clusters {
-		cfg := fed.Session()
-		corrector, err := checkConfig(cfg)
-		if err != nil {
-			return nil, nil, 0, fmt.Errorf("sim: cluster %s session: %w", c.Name, err)
-		}
-		if cfg.Script != nil || cfg.Sink != nil || cfg.Tracer != nil || cfg.Profile {
-			return nil, nil, 0, fmt.Errorf("sim: cluster %s session: Script, Sink, Tracer and Profile belong on FederatedConfig, not the per-cluster Config", c.Name)
-		}
-		if i == 0 {
-			res.Triple = cfg.Name()
-			e.corrector = corrector
-		}
-		res.Clusters[i] = ClusterResult{Name: c.Name, MaxProcs: c.Procs, Speed: c.SpeedFactor()}
-		e.clusters = append(e.clusters, &clusterState{
-			name:      c.Name,
-			speed:     c.SpeedFactor(),
-			machine:   platform.New(c.Procs),
-			queue:     make([]*job.Job, 0, 64),
-			policy:    cfg.Policy,
-			predictor: cfg.Predictor,
-			sub:       &res.Clusters[i],
-		})
-		if c.Procs > maxTotal {
-			maxTotal = c.Procs
-		}
-	}
-	return e, res, maxTotal, nil
-}
-
-// clusterIndex resolves a scenario event's cluster name against the
-// engine's platform. Empty names mean the first cluster, so
-// single-machine scripts replay unchanged on a federation's head.
-func (e *engine) clusterIndex(name string) (int, error) {
-	if name == "" {
-		return 0, nil
-	}
-	for i, c := range e.clusters {
-		if c.name == name {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("sim: scenario targets unknown cluster %q", name)
-}
-
-// pushScript seeds the event queue with the scenario's disruptions,
-// resolving cluster names. Cancellations resolve through byID on
-// preloading runs; a nil byID means a streaming run, where they are
-// tracked by ID in the engine's target map instead.
-func (e *engine) pushScript(script *scenario.Script, byID map[int64]*job.Job) error {
-	if script.Empty() {
-		return nil
-	}
-	e.res.Scenario = script.Name
-	for _, ev := range script.Events {
-		switch {
-		case ev.Time < 0:
-			return fmt.Errorf("sim: scenario event at negative instant %d", ev.Time)
-		case ev.Action == scenario.Drain && ev.Procs > 0:
-			ci, err := e.clusterIndex(ev.Cluster)
-			if err != nil {
-				return err
-			}
-			e.q.Push(ev.Time, eventq.Drain, payload{procs: ev.Procs, cluster: ci})
-		case ev.Action == scenario.Restore && ev.Procs > 0:
-			ci, err := e.clusterIndex(ev.Cluster)
-			if err != nil {
-				return err
-			}
-			e.q.Push(ev.Time, eventq.Restore, payload{procs: ev.Procs, cluster: ci})
-		case ev.Action == scenario.Cancel:
-			if byID == nil {
-				if e.targets == nil {
-					e.targets = make(map[int64]*cancelTarget)
-				}
-				if e.targets[ev.JobID] == nil {
-					e.targets[ev.JobID] = &cancelTarget{}
-				}
-				e.q.Push(ev.Time, eventq.Cancel, payload{id: ev.JobID})
-			} else if j := byID[ev.JobID]; j != nil {
-				e.q.Push(ev.Time, eventq.Cancel, payload{j: j})
-			}
-			// Unknown IDs on the preloading path are ignored: scripts
-			// derived from a raw log may name jobs the cleaning dropped.
-		default:
-			return fmt.Errorf("sim: scenario %s event with %d processors", ev.Action, ev.Procs)
-		}
-	}
-	return nil
-}
-
-// finishFederated runs the shared post-loop bookkeeping: a
-// single-cluster federation surfaces its sole capacity timeline at the
-// Result level, exactly where a single-machine run records it.
-func (e *engine) finishFederated(wallStart time.Time) {
-	res := e.res
-	if len(res.Clusters) == 1 && len(res.Clusters[0].CapacitySteps) > 0 {
-		res.CapacitySteps = append([]CapacityStep(nil), res.Clusters[0].CapacitySteps...)
-	}
-	e.finishProfile()
-	res.Perf.WallNanos = time.Since(wallStart).Nanoseconds()
+	return newEngine(name, clusters, sessions, router, Config{Sink: fed.Sink, Tracer: fed.Tracer, Profile: fed.Profile}), nil
 }
 
 // RunFederated simulates the workload over a federated platform,
@@ -213,143 +81,30 @@ func (e *engine) finishFederated(wallStart time.Time) {
 // Result. A one-cluster federation with a unit speed factor reproduces
 // Run byte for byte — the identity federated_diff_test.go enforces.
 func RunFederated(w *trace.Workload, fed FederatedConfig) (*Result, error) {
-	wallStart := time.Now()
-	e, res, maxTotal, err := fed.setup()
+	e, err := fed.setup(w.Name)
 	if err != nil {
 		return nil, err
 	}
-	res.Workload = w.Name
-
-	slab := make([]job.Job, len(w.Jobs))
-	jobs := make([]*job.Job, len(w.Jobs))
-	byID := make(map[int64]*job.Job, len(w.Jobs))
-	res.Jobs = jobs
-	e.q.Reserve(len(w.Jobs) + 64)
-	for i := range w.Jobs {
-		r := &w.Jobs[i]
-		if r.Procs() > maxTotal {
-			return nil, fmt.Errorf("sim: job %d wider (%d) than every cluster (widest %d)", r.JobNumber, r.Procs(), maxTotal)
-		}
-		j := &slab[i]
-		job.FromSWFInto(j, r)
-		jobs[i] = j
-		byID[j.ID] = j
-		e.q.Push(j.Submit, eventq.Submit, payload{j: j})
-	}
-	if err := e.pushScript(fed.Script, byID); err != nil {
+	if err := e.preload(w, fed.Script); err != nil {
 		return nil, err
 	}
-
-	for {
-		ev, ok := e.pop()
-		if !ok {
-			break
-		}
-		res.Perf.Events++
-		e.handle(ev)
-	}
-
-	if n, first := e.queuedJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — did the scenario restore its drains?", n, first.ID)
-	}
-	for _, j := range jobs {
-		if !j.Finished && !j.Canceled {
-			return nil, fmt.Errorf("sim: job %d never finished", j.ID)
-		}
-	}
-	e.finishFederated(wallStart)
-	return res, nil
+	return e.run(noCommands{})
 }
 
-// RunFederatedStream is the bounded-memory federated driver: it pulls
+// RunFederatedStream is the bounded-memory federated run: it pulls
 // submissions lazily from src and retires finished jobs into fed.Sink,
 // like RunStream, while routing each submission across the federation
 // like RunFederated. Peak memory is O(live jobs + window) summed over
 // the clusters. A one-cluster unit-speed federation reproduces
 // RunStream byte for byte.
 func RunFederatedStream(name string, src workload.Source, fed FederatedConfig) (*Result, error) {
-	if fed.Shards != 0 {
-		return runFederatedStreamSharded(name, src, fed)
-	}
-	wallStart := time.Now()
-	e, res, maxTotal, err := fed.setup()
+	e, err := fed.setup(name)
 	if err != nil {
 		return nil, err
 	}
-	if src == nil {
-		return nil, fmt.Errorf("sim: stream %q: nil source", name)
-	}
-	res.Workload = name
-	res.Streamed = true
-	e.arena = new(job.Arena)
-	if err := e.pushScript(fed.Script, nil); err != nil {
+	cmds, err := e.streamed(src, fed.Script)
+	if err != nil {
 		return nil, err
 	}
-
-	lastSubmit := int64(-1 << 62)
-	admit := func(rec swf.Job) error {
-		if rec.Procs() > maxTotal {
-			return fmt.Errorf("sim: job %d wider (%d) than every cluster (widest %d)", rec.JobNumber, rec.Procs(), maxTotal)
-		}
-		if rec.SubmitTime < lastSubmit {
-			return fmt.Errorf("sim: stream %q not submit-ordered: job %d at %d after %d", name, rec.JobNumber, rec.SubmitTime, lastSubmit)
-		}
-		lastSubmit = rec.SubmitTime
-		j := e.arena.New(&rec)
-		if tgt := e.target(j.ID); tgt != nil {
-			if tgt.bound {
-				return fmt.Errorf("sim: stream %q: duplicate job id %d targeted by a cancellation", name, j.ID)
-			}
-			tgt.bound = true
-			if tgt.canceled {
-				j.Canceled = true
-				res.Canceled++
-			} else {
-				tgt.j = j
-			}
-		}
-		e.q.Push(j.Submit, eventq.Submit, payload{j: j})
-		return nil
-	}
-
-	var pending swf.Job
-	havePending, exhausted := false, false
-	for {
-		for !exhausted {
-			if !havePending {
-				rec, err := src.NextJob()
-				if err == io.EOF {
-					exhausted = true
-					break
-				}
-				if err != nil {
-					return nil, fmt.Errorf("sim: stream %q: %w", name, err)
-				}
-				pending, havePending = rec, true
-			}
-			if t, ok := e.q.PeekTime(); ok && pending.SubmitTime > t {
-				break
-			}
-			if err := admit(pending); err != nil {
-				return nil, err
-			}
-			havePending = false
-		}
-
-		ev, ok := e.pop()
-		if !ok {
-			break
-		}
-		res.Perf.Events++
-		e.handle(ev)
-	}
-
-	if n, first := e.queuedJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — did the scenario restore its drains?", n, first.ID)
-	}
-	if n := e.runningJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs still running after the event queue drained", n)
-	}
-	e.finishFederated(wallStart)
-	return res, nil
+	return e.run(cmds)
 }

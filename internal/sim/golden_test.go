@@ -85,6 +85,16 @@ func (d digest) collector(c *metrics.Collector) {
 
 func (d digest) sum() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
 
+// stripNanos zeroes the wall-clock field, the one legitimately
+// nondeterministic part of a trace event.
+func stripNanos(events []obs.Event) []obs.Event {
+	out := append([]obs.Event(nil), events...)
+	for i := range out {
+		out[i].Nanos = 0
+	}
+	return out
+}
+
 // goldenSink hashes the retirement sequence as it happens and feeds a
 // per-cluster metrics sink, so the collector sums are pinned too.
 type goldenSink struct {

@@ -3,12 +3,8 @@ package sim
 import (
 	"fmt"
 	"io"
-	"math"
-	"time"
 
-	"repro/internal/eventq"
 	"repro/internal/job"
-	"repro/internal/platform"
 	"repro/internal/swf"
 )
 
@@ -129,37 +125,18 @@ func (s *SliceCommands) NextCommand() (Command, error) {
 	return c, nil
 }
 
-// liveTracker is RunLive's sink shim: it forgets a job's identity the
-// moment the engine retires it, so the live-job index stays O(live
-// jobs), and forwards the observation unchanged (same order, same
-// pointer) to the configured sink.
-type liveTracker struct {
-	live map[int64]*job.Job
-	next JobSink
-}
-
-func (t *liveTracker) Observe(j *job.Job) {
-	delete(t.live, j.ID)
-	if t.next != nil {
-		t.next.Observe(j)
-	}
-}
-
-// RunLive is the fifth driver: it advances the shared event core under
-// an open-ended, externally produced command stream instead of a
-// preloaded script and a submission source. It exists for the
-// scheduler-as-a-service daemon (internal/schedd): submissions,
-// cancellations and capacity changes arrive as timed commands from
-// concurrent clients (already sequenced into one nondecreasing-time
-// stream), and CmdAdvance promises let the loop retire queued events
-// between arrivals without blocking on the next command.
+// RunLive runs the event loop under an open-ended, externally produced
+// command stream instead of a preloaded script and a submission source.
+// It exists for the scheduler-as-a-service daemon (internal/schedd):
+// submissions, cancellations and capacity changes arrive as timed
+// commands from concurrent clients (already sequenced into one
+// nondecreasing-time stream), and CmdAdvance promises let the loop
+// retire queued events between arrivals without blocking on the next
+// command. Capacity commands target the single machine.
 //
-// The discipline mirrors RunStream exactly: every command with a Time
-// at or before the next event's instant is applied (its event pushed)
-// before that event pops, so eventq's same-instant kind order
-// serializes each instant identically, and a command sequence derived
-// from (trace, script) produces byte-identical decisions, counters and
-// sink observations to RunStream over the same trace — the property
+// The loop is RunStream's (see run): a command sequence derived from
+// (trace, script) produces byte-identical decisions, counters and sink
+// observations to RunStream over the same trace — the property
 // live_diff_test.go and internal/schedd's replay_diff_test.go enforce.
 // When the source returns io.EOF the intake closes and the queue
 // drains to completion (the daemon's graceful shutdown).
@@ -169,175 +146,26 @@ func (t *liveTracker) Observe(j *job.Job) {
 // submitted marks the ID so the later submission is dropped on
 // arrival. The sole divergence, the live analogue of RunStream's
 // absent-ID exception: a cancel naming a job that already retired
-// (or that never arrives) cannot be distinguished from a
+// unnamed (or that never arrives) cannot be distinguished from a
 // cancel-before-submission, so it pops as one — a benign extra
 // scheduling pass against unchanged state; decisions and metrics are
-// unaffected. Memory is O(live jobs + cancellations): canceled IDs
-// keep a small bookkeeping entry for the rest of the run.
+// unaffected. Memory is O(live jobs + cancellations): the ID index
+// holds every live job, and a canceled ID keeps its entry for the rest
+// of the run.
 func RunLive(name string, maxProcs int64, src CommandSource, cfg Config) (*Result, error) {
-	wallStart := time.Now()
-	corrector, err := checkConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if maxProcs <= 0 {
-		return nil, fmt.Errorf("sim: live %q: machine size %d must be positive", name, maxProcs)
-	}
 	if src == nil {
 		return nil, fmt.Errorf("sim: live %q: nil command source", name)
 	}
 	if !cfg.Script.Empty() {
 		return nil, fmt.Errorf("sim: live %q: disruptions arrive as commands, not a Script", name)
 	}
-
-	res := &Result{Triple: cfg.Name(), Workload: name, MaxProcs: maxProcs, Streamed: true}
-	live := make(map[int64]*job.Job)
-	e := &engine{
-		corrector: corrector,
-		clusters: []*clusterState{{
-			speed:     1,
-			machine:   platform.New(maxProcs),
-			queue:     make([]*job.Job, 0, 64),
-			policy:    cfg.Policy,
-			predictor: cfg.Predictor,
-		}},
-		sink:    &liveTracker{live: live, next: cfg.Sink},
-		res:     res,
-		targets: make(map[int64]*cancelTarget),
-		arena:   new(job.Arena),
+	e, err := cfg.single(name, maxProcs)
+	if err != nil {
+		return nil, err
 	}
-	e.instrument(cfg.Tracer, cfg.Profile)
-
-	// admit is RunStream's admission, verbatim plus the live index: it
-	// runs when the event clock is about to reach the record's submit
-	// instant, so every pushed event is in the future.
-	lastSubmit := int64(math.MinInt64)
-	admit := func(rec swf.Job) error {
-		if rec.Procs() > maxProcs {
-			return fmt.Errorf("sim: job %d wider (%d) than machine (%d)", rec.JobNumber, rec.Procs(), maxProcs)
-		}
-		if rec.SubmitTime < lastSubmit {
-			return fmt.Errorf("sim: live %q not submit-ordered: job %d at %d after %d", name, rec.JobNumber, rec.SubmitTime, lastSubmit)
-		}
-		lastSubmit = rec.SubmitTime
-		j := e.arena.New(&rec)
-		if tgt := e.target(j.ID); tgt != nil {
-			if tgt.bound {
-				return fmt.Errorf("sim: live %q: duplicate job id %d targeted by a cancellation", name, j.ID)
-			}
-			tgt.bound = true
-			if tgt.canceled {
-				j.Canceled = true
-				res.Canceled++
-			} else {
-				tgt.j = j
-			}
-		}
-		if !j.Canceled {
-			live[j.ID] = j
-		}
-		e.q.Push(j.Submit, eventq.Submit, payload{j: j})
-		return nil
-	}
-
-	// cutoff is the advance promise: no future command's Time is below
-	// it, so queued events strictly before it are safe to pop without
-	// blocking for the next command. (Strictly: a future cancel at
-	// exactly the cutoff instant would still pop before a queued
-	// expiry there, so the boundary instant must wait.)
-	cutoff := int64(math.MinInt64)
-	lastTime := int64(math.MinInt64)
-	apply := func(cmd Command) error {
-		if cmd.Time < lastTime {
-			return fmt.Errorf("sim: live %q not time-ordered: %s command at %d after %d", name, cmd.Kind, cmd.Time, lastTime)
-		}
-		lastTime = cmd.Time
-		switch cmd.Kind {
-		case CmdSubmit:
-			if cmd.Job.SubmitTime != cmd.Time {
-				return fmt.Errorf("sim: live %q: submit command at %d carries job %d submitting at %d", name, cmd.Time, cmd.Job.JobNumber, cmd.Job.SubmitTime)
-			}
-			return admit(cmd.Job)
-		case CmdCancel:
-			if tgt := e.targets[cmd.ID]; tgt == nil {
-				tgt = &cancelTarget{}
-				if j := live[cmd.ID]; j != nil {
-					tgt.j, tgt.bound = j, true
-				}
-				e.targets[cmd.ID] = tgt
-			}
-			e.q.Push(cmd.Time, eventq.Cancel, payload{id: cmd.ID})
-		case CmdDrain:
-			if cmd.Procs <= 0 {
-				return fmt.Errorf("sim: live %q: drain of %d processors", name, cmd.Procs)
-			}
-			e.q.Push(cmd.Time, eventq.Drain, payload{procs: cmd.Procs})
-		case CmdRestore:
-			if cmd.Procs <= 0 {
-				return fmt.Errorf("sim: live %q: restore of %d processors", name, cmd.Procs)
-			}
-			e.q.Push(cmd.Time, eventq.Restore, payload{procs: cmd.Procs})
-		case CmdAdvance:
-			if cmd.Time > cutoff {
-				cutoff = cmd.Time
-			}
-		default:
-			return fmt.Errorf("sim: live %q: unknown command kind %d", name, cmd.Kind)
-		}
-		return nil
-	}
-
-	var pending Command
-	havePending, exhausted := false, false
-	for {
-		// Top up commands: everything taking effect at or before the
-		// next event's instant must have pushed its event before that
-		// event pops (the kind order then serializes the instant
-		// correctly). Block for the next command only when the queue
-		// cannot safely progress without it — the head sits at or past
-		// the advance cutoff.
-		for !exhausted {
-			if !havePending {
-				if t, ok := e.q.PeekTime(); ok && t < cutoff {
-					break
-				}
-				cmd, err := src.NextCommand()
-				if err == io.EOF {
-					exhausted = true
-					break
-				}
-				if err != nil {
-					return nil, fmt.Errorf("sim: live %q: %w", name, err)
-				}
-				pending, havePending = cmd, true
-			}
-			if t, ok := e.q.PeekTime(); ok && pending.Time > t {
-				break
-			}
-			if err := apply(pending); err != nil {
-				return nil, err
-			}
-			havePending = false
-		}
-
-		ev, ok := e.pop()
-		if !ok {
-			if exhausted && !havePending {
-				break
-			}
-			continue
-		}
-		res.Perf.Events++
-		e.handle(ev)
-	}
-
-	if n, first := e.queuedJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — did the commands restore their drains?", n, first.ID)
-	}
-	if n := e.runningJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs still running after the event queue drained", n)
-	}
-	e.finishProfile()
-	res.Perf.WallNanos = time.Since(wallStart).Nanoseconds()
-	return res, nil
+	e.res.Streamed = true
+	e.arena = new(job.Arena)
+	e.ids = make(map[int64]*idEntry)
+	e.indexLive = true
+	return e.run(src)
 }

@@ -23,46 +23,52 @@
 // running. The realized capacity timeline is recorded on the Result so
 // validation can check the schedule against it.
 //
-// The engine has five drivers over one shared event core (engine.go):
-// Run preloads a trace.Workload and retains every job on the Result —
-// the validating, table-producing path — while RunStream (stream.go)
-// pulls submissions lazily from a workload.Source and retires finished
-// jobs into a JobSink, keeping peak memory O(live jobs + window)
-// regardless of trace length; RunFederated and RunFederatedStream
-// (federated.go) drive N per-cluster states behind a sched.Router
-// consulted once per job at submission, with the single-machine drivers
-// being the 1-cluster special case; and RunLive (live.go) advances the
-// core under an externally produced command stream — submissions,
-// cancellations and capacity changes from live clients, sequenced by
-// internal/schedd — with advance promises standing in for the script's
-// complete knowledge of the future. A differential test harness
-// (stream_diff_test.go, federated_diff_test.go, live_diff_test.go)
-// holds every driver to decision-identical schedules.
+// There is one event loop (engine.go, loop.go) and five thin entry
+// points that differ only in how jobs reach it. Every entry point builds
+// the engine over 1..N clusters — one cluster and no router for Run,
+// RunStream and RunLive; a platform behind a sched.Router, consulted
+// once per job at submission, for RunFederated and RunFederatedStream —
+// and then hands the loop a command source:
+//
+//   - Preloaded (Run, RunFederated): every job is admitted before the
+//     loop starts and retained on the Result — the validating,
+//     table-producing path. The loop runs with an empty source.
+//   - Streamed (RunStream, RunFederatedStream): a workload.Source is a
+//     stream of submit commands, pulled exactly when the event clock
+//     reaches them; finished jobs are handed to a JobSink and recycled,
+//     keeping peak memory O(live jobs + window) regardless of trace
+//     length.
+//   - Live (RunLive): an externally produced command stream —
+//     submissions, cancellations and capacity changes from live
+//     clients, sequenced by internal/schedd — whose advance promises
+//     stand in for the script's complete knowledge of the future.
+//
+// A script's cancellations and live cancel commands name jobs by ID;
+// the engine resolves them through one ID index that holds only the IDs
+// a cancellation can still name. The differential tests
+// (stream_diff_test.go, federated_diff_test.go, live_diff_test.go) hold
+// the intakes to decision-identical schedules, and golden_test.go holds
+// the loop to digests recorded before the drivers were folded onto it.
 //
 // # Determinism invariants
 //
-// Every driver is deterministic given (workload, config, script): no
-// map iteration order, goroutine schedule or wall clock leaks into a
+// Every run is deterministic given (workload, config, script): no map
+// iteration order, goroutine schedule or wall clock leaks into a
 // decision. The invariants that guarantee it:
 //
 //   - Same-instant ordering. Events at one instant are processed in
 //     eventq's fixed kind order (completions, cancellations, capacity
 //     changes, expiries, submissions) and, within a kind, insertion
-//     order — see the eventq package comment.
+//     order — see the eventq package comment. The loop applies every
+//     command taking effect at or before the next event's instant
+//     before popping it, so the order is the same for every intake.
 //   - Canonical tie-breaks. Wherever the engine or a policy must order
 //     jobs, ties fall back to the unique job ID (e.g. the machine's
 //     predicted-release order is (instant, ID)), so no two orderings
 //     are ever "equal".
-//   - Router sequencing. Federated drivers consult the router once per
-//     job in trace submission order, against cluster states that have
-//     advanced exactly to that job's submission instant. The parallel
-//     sharded driver (parallel.go, FederatedConfig.Shards) keeps the
-//     router as this global sequencing boundary — shards quiesce up to
-//     each routing instant before the router reads their state — so
-//     every routing decision, and therefore every schedule, is
-//     byte-identical to the sequential driver's for every shard count
-//     (proven by parallel_diff_test.go, including trace capture, whose
-//     merge replays the sequential queue's exact emission order).
+//   - Router sequencing. Federated runs consult the router once per
+//     job in submission order, against cluster states that have
+//     advanced exactly to that job's submission instant.
 package sim
 
 import (
@@ -70,7 +76,6 @@ import (
 	"time"
 
 	"repro/internal/correct"
-	"repro/internal/eventq"
 	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -78,6 +83,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Config is one heuristic triple plus the workload-independent knobs.
@@ -243,100 +249,58 @@ type ClusterResult struct {
 // scheduling-logic violations (overbooking, double starts) panic, since
 // they are bugs. For bounded-memory replay of huge traces see RunStream.
 func Run(w *trace.Workload, cfg Config) (*Result, error) {
-	wallStart := time.Now()
-	corrector, err := checkConfig(cfg)
+	e, err := cfg.single(w.Name, w.MaxProcs)
 	if err != nil {
 		return nil, err
 	}
-
-	// One slab holds every runtime job: the preloading path retains them
-	// all on the Result anyway, so allocating them individually only
-	// fragments the heap and costs one allocation per job.
-	slab := make([]job.Job, len(w.Jobs))
-	jobs := make([]*job.Job, len(w.Jobs))
-	byID := make(map[int64]*job.Job, len(w.Jobs))
-	res := &Result{Triple: cfg.Name(), Workload: w.Name, MaxProcs: w.MaxProcs, Jobs: jobs}
-	e := &engine{
-		corrector: corrector,
-		clusters: []*clusterState{{
-			speed:     1,
-			machine:   platform.New(w.MaxProcs),
-			queue:     make([]*job.Job, 0, 64),
-			policy:    cfg.Policy,
-			predictor: cfg.Predictor,
-		}},
-		sink: cfg.Sink,
-		res:  res,
+	if err := e.preload(w, cfg.Script); err != nil {
+		return nil, err
 	}
-	e.instrument(cfg.Tracer, cfg.Profile)
-	// The queue holds all n submissions up front plus the live jobs'
-	// finish/expiry events; reserving once avoids every growth copy.
-	e.q.Reserve(len(w.Jobs) + 64)
-	for i := range w.Jobs {
-		r := &w.Jobs[i]
-		if r.Procs() > w.MaxProcs {
-			return nil, fmt.Errorf("sim: job %d wider (%d) than machine (%d)", r.JobNumber, r.Procs(), w.MaxProcs)
-		}
-		j := &slab[i]
-		job.FromSWFInto(j, r)
-		jobs[i] = j
-		byID[j.ID] = j
-		e.q.Push(j.Submit, eventq.Submit, payload{j: j})
-	}
-
-	if !cfg.Script.Empty() {
-		res.Scenario = cfg.Script.Name
-		for _, ev := range cfg.Script.Events {
-			switch {
-			case ev.Time < 0:
-				return nil, fmt.Errorf("sim: scenario event at negative instant %d", ev.Time)
-			case ev.Cluster != "":
-				return nil, fmt.Errorf("sim: scenario targets cluster %q but the run is single-machine (use RunFederated)", ev.Cluster)
-			case ev.Action == scenario.Drain && ev.Procs > 0:
-				e.q.Push(ev.Time, eventq.Drain, payload{procs: ev.Procs})
-			case ev.Action == scenario.Restore && ev.Procs > 0:
-				e.q.Push(ev.Time, eventq.Restore, payload{procs: ev.Procs})
-			case ev.Action == scenario.Cancel:
-				if j := byID[ev.JobID]; j != nil {
-					e.q.Push(ev.Time, eventq.Cancel, payload{j: j})
-				}
-				// Unknown IDs are ignored: scripts derived from a raw
-				// log may name jobs the workload cleaning dropped.
-			default:
-				return nil, fmt.Errorf("sim: scenario %s event with %d processors", ev.Action, ev.Procs)
-			}
-		}
-	}
-
-	for {
-		ev, ok := e.pop()
-		if !ok {
-			break
-		}
-		res.Perf.Events++
-		e.handle(ev)
-	}
-
-	if n, first := e.queuedJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — did the scenario restore its drains?", n, first.ID)
-	}
-	for _, j := range jobs {
-		if !j.Finished && !j.Canceled {
-			return nil, fmt.Errorf("sim: job %d never finished", j.ID)
-		}
-	}
-	e.finishProfile()
-	res.Perf.WallNanos = time.Since(wallStart).Nanoseconds()
-	return res, nil
+	return e.run(noCommands{})
 }
 
-// checkConfig validates the triple and resolves the default corrector.
-func checkConfig(cfg Config) (correct.Corrector, error) {
+// RunStream simulates a lazily pulled workload in bounded memory: peak
+// heap is O(live jobs + window) — queued and running jobs, their pending
+// events, the scenario script and per-user predictor state — instead of
+// O(trace). Submissions are pulled from src exactly when the event clock
+// reaches them, and finished jobs are handed to cfg.Sink and forgotten,
+// so Result.Jobs stays nil (Result.Streamed is set).
+//
+// The source must yield jobs in nondecreasing SubmitTime order (all
+// workload.Source implementations do); an out-of-order record is an
+// error. Decisions, metrics observations and the Result counters are
+// identical to Run on the same job sequence — the property
+// stream_diff_test.go enforces — with one deliberate exception: a
+// script cancellation naming a job the source never delivers still pops
+// here, while Run drops it at setup (see pushScript).
+func RunStream(name string, maxProcs int64, src workload.Source, cfg Config) (*Result, error) {
+	e, err := cfg.single(name, maxProcs)
+	if err != nil {
+		return nil, err
+	}
+	cmds, err := e.streamed(src, cfg.Script)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(cmds)
+}
+
+// single builds the engine of a single-machine run: one unnamed cluster
+// of maxProcs processors and no router.
+func (cfg Config) single(name string, maxProcs int64) (*engine, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
+	if maxProcs <= 0 {
+		return nil, fmt.Errorf("sim: %q: machine size %d must be positive", name, maxProcs)
+	}
+	return newEngine(name, []platform.Cluster{{Procs: maxProcs}}, []Config{cfg}, nil, cfg), nil
+}
+
+// checkConfig validates one heuristic triple.
+func checkConfig(cfg Config) error {
 	if cfg.Policy == nil || cfg.Predictor == nil {
-		return nil, fmt.Errorf("sim: policy and predictor are required")
+		return fmt.Errorf("sim: policy and predictor are required")
 	}
-	if cfg.Corrector == nil {
-		return correct.RequestedTime{}, nil
-	}
-	return cfg.Corrector, nil
+	return nil
 }

@@ -40,13 +40,6 @@ func (e *engine) pop() (eventq.Event[payload], bool) {
 	return ev, ok
 }
 
-// finishProfile folds the stage histograms into the run's Perf.
-func (e *engine) finishProfile() {
-	if e.prof != nil {
-		e.res.Perf.Stages = e.prof.Summaries()
-	}
-}
-
 // observeFinish times the predictor's profile update at job finish (the
 // learning hot path) when profiling is on.
 func (e *engine) observeFinish(c *clusterState, j *job.Job, now int64) {

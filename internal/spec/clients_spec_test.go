@@ -167,24 +167,16 @@ func TestResolvedWorkloadsCarriesClients(t *testing.T) {
 	}
 }
 
-// TestShardsTopLevel: regression — shards: was read by the resolver but
-// missing from the top-level key whitelist, so any spec using it was
-// rejected as an unknown field.
+// TestShardsTopLevel: the sharded driver and its shards: key are gone,
+// so a spec still using the key fails loudly, at its line, instead of
+// silently running sequentially.
 func TestShardsTopLevel(t *testing.T) {
-	path := writeSpec(t, t.TempDir(), "sharded.yaml", `
-kind: campaign
+	loadErr(t, `kind: campaign
 jobs: 50
 stream: true
 shards: 2
 clusters:
   - 100
   - 64x1.5
-`)
-	s, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Shards != 2 {
-		t.Fatalf("shards decoded as %d, want 2", s.Shards)
-	}
+`, `unknown field "shards"`, "4")
 }

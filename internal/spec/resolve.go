@@ -25,7 +25,7 @@ import (
 // decode fills the Spec from the merged tree.
 func (s *Spec) decode(tree *node) error {
 	if err := tree.checkKeys("kind", "seed", "repeats", "jobs", "parallelism",
-		"stream", "shards", "workloads", "triples", "scenarios", "clusters",
+		"stream", "workloads", "triples", "scenarios", "clusters",
 		"routing", "output", "trace", "serve"); err != nil {
 		return err
 	}
@@ -90,19 +90,6 @@ func (s *Spec) decode(tree *node) error {
 			return err
 		}
 		s.Stream = v
-	}
-	if n := tree.at("shards"); n != nil {
-		v, err := n.toInt()
-		if err != nil {
-			return err
-		}
-		if v < 0 {
-			return n.errf("shards must be >= 0 (0 = sequential), got %d", v)
-		}
-		if s.Kind != "campaign" {
-			return n.errf("shards only applies to campaign grids (the sharded driver is federated)")
-		}
-		s.Shards = v
 	}
 
 	if n := tree.at("workloads"); n != nil {
