@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/campaign"
@@ -191,18 +192,19 @@ func TestResumeIgnoresForeignJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran := 0
+	// Progress may be called from worker goroutines concurrently.
+	var ran atomic.Int64
 	second := &campaign.Campaign{
 		Workloads: testWorkloads(t, 200, "KTH-SP2"),
 		Triples:   triples,
 		Seed:      2, // different base seed: the journal must be ignored
 		Resume:    done,
-		Progress:  func(d, tot int) { ran++ },
+		Progress:  func(d, tot int) { ran.Add(1) },
 	}
 	if _, err := second.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if ran != len(triples) {
+	if ran := ran.Load(); ran != int64(len(triples)) {
 		t.Fatalf("settled %d cells, want all %d re-run under a different seed", ran, len(triples))
 	}
 }

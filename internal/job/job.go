@@ -72,7 +72,7 @@ func FromSWF(r *swf.Job) *Job {
 
 // FromSWFInto initializes dst in place from an SWF record, overwriting
 // every field. It is the allocation-free core of FromSWF, used by slab
-// and arena allocation (see Arena and the sim drivers).
+// and arena allocation (see Arena and the sim event loop).
 func FromSWFInto(dst *Job, r *swf.Job) {
 	*dst = Job{
 		ID:      r.JobNumber,

@@ -113,19 +113,24 @@ type engine struct {
 	elig    []string
 }
 
-// newEngine is the one constructor. clusters holds one triple session
-// per platform member, already checked (checkConfig). A nil router makes a single-machine run: its sole
-// cluster keeps no name and no per-cluster result slot, so its counters
-// live on the Result alone, exactly as before federation existed.
-// runWide carries the run-wide Sink, Tracer and Profile.
+// newEngine is the one constructor. sessions holds one checked triple
+// per cluster (see checkConfig); the first session's corrector serves
+// the whole run, and runWide carries the run-wide Sink, Tracer and
+// Profile. A nil router makes a single-machine run: its sole cluster
+// keeps no name and no per-cluster result slot, so its counters live on
+// the Result alone.
 func newEngine(name string, clusters []platform.Cluster, sessions []Config, router sched.Router, runWide Config) *engine {
 	e := &engine{
-		router:   router,
-		sink:     runWide.Sink,
-		start:    time.Now(),
-		lastTime: math.MinInt64,
-		cutoff:   math.MinInt64,
-		res:      &Result{Workload: name, MaxProcs: platform.ClustersTotal(clusters)},
+		corrector: sessions[0].Corrector,
+		router:    router,
+		sink:      runWide.Sink,
+		start:     time.Now(),
+		lastTime:  math.MinInt64,
+		cutoff:    math.MinInt64,
+		res:       &Result{Triple: sessions[0].Name(), Workload: name, MaxProcs: platform.ClustersTotal(clusters)},
+	}
+	if e.corrector == nil {
+		e.corrector = correct.RequestedTime{}
 	}
 	if router != nil {
 		e.views = make([]sched.ClusterState, len(clusters))
@@ -134,13 +139,6 @@ func newEngine(name string, clusters []platform.Cluster, sessions []Config, rout
 	}
 	for i, c := range clusters {
 		cfg := sessions[i]
-		if i == 0 {
-			e.res.Triple = cfg.Name()
-			e.corrector = cfg.Corrector
-			if e.corrector == nil {
-				e.corrector = correct.RequestedTime{}
-			}
-		}
 		cs := &clusterState{
 			name:      c.Name,
 			speed:     c.SpeedFactor(),
@@ -515,25 +513,4 @@ func (e *engine) handleCancel(id, now int64) (c *clusterState, runPass bool) {
 	}
 	ent.j = nil // never runs; release the pointer
 	return c, true
-}
-
-// queuedJobs counts waiting jobs across every cluster, returning one of
-// them for error reporting.
-func (e *engine) queuedJobs() (n int, first *job.Job) {
-	for _, c := range e.clusters {
-		n += len(c.queue)
-		if first == nil && len(c.queue) > 0 {
-			first = c.queue[0]
-		}
-	}
-	return n, first
-}
-
-// runningJobs counts running jobs across every cluster.
-func (e *engine) runningJobs() int {
-	n := 0
-	for _, c := range e.clusters {
-		n += c.machine.RunningCount()
-	}
-	return n
 }

@@ -93,11 +93,12 @@ func AdvanceCommand(t int64) Command {
 	return Command{Kind: CmdAdvance, Time: t}
 }
 
-// CommandSource feeds a live run. NextCommand blocks until the next
+// CommandSource feeds the event loop. NextCommand blocks until the next
 // command is available and returns io.EOF to close the intake — the
-// run then drains every queued event to completion and returns. The
-// channel-backed sequencer in internal/schedd is the production
-// implementation; SliceCommands replays a recorded log.
+// run then drains every queued event to completion and returns. RunLive
+// takes one directly: the channel-backed sequencer in internal/schedd
+// is the production implementation, and SliceCommands replays a
+// recorded log. The other entry points adapt their input to one.
 type CommandSource interface {
 	NextCommand() (Command, error)
 }
@@ -145,9 +146,9 @@ func (s *SliceCommands) NextCommand() (Command, error) {
 // already admitted binds its live pointer; one for a job not yet
 // submitted marks the ID so the later submission is dropped on
 // arrival. The sole divergence, the live analogue of RunStream's
-// absent-ID exception: a cancel naming a job that already retired
-// unnamed (or that never arrives) cannot be distinguished from a
-// cancel-before-submission, so it pops as one — a benign extra
+// absent-ID exception: a cancel naming a job that retired before any
+// cancellation named it (or that never arrives) cannot be told apart
+// from a cancel-before-submission, so it pops as one — a benign extra
 // scheduling pass against unchanged state; decisions and metrics are
 // unaffected. Memory is O(live jobs + cancellations): the ID index
 // holds every live job, and a canceled ID keeps its entry for the rest

@@ -234,11 +234,20 @@ func (e *engine) clusterIndex(name string) (int, error) {
 // single-cluster federation surfaces its sole capacity timeline at the
 // Result level, exactly where a single-machine run records it.
 func (e *engine) finish() (*Result, error) {
-	if n, first := e.queuedJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — did the scenario restore its drains?", n, first.ID)
+	queued, running := 0, 0
+	var first *job.Job
+	for _, c := range e.clusters {
+		if first == nil && len(c.queue) > 0 {
+			first = c.queue[0]
+		}
+		queued += len(c.queue)
+		running += c.machine.RunningCount()
 	}
-	if n := e.runningJobs(); n != 0 {
-		return nil, fmt.Errorf("sim: %d jobs still running after the event queue drained", n)
+	if queued != 0 {
+		return nil, fmt.Errorf("sim: %d jobs never started (first: %d) — did the scenario restore its drains?", queued, first.ID)
+	}
+	if running != 0 {
+		return nil, fmt.Errorf("sim: %d jobs still running after the event queue drained", running)
 	}
 	res := e.res
 	if len(res.Clusters) == 1 && len(res.Clusters[0].CapacitySteps) > 0 {

@@ -102,7 +102,7 @@ type Config struct {
 	// Sink, when non-nil, observes every job that finishes (normally or
 	// killed by a cancellation), exactly once, in event order, with its
 	// realized schedule filled in. It is how streaming runs compute
-	// metrics without retaining jobs; the preloading driver honors it
+	// metrics without retaining jobs; preloading runs honor it
 	// too, so the two paths feed identical observation sequences.
 	Sink JobSink
 	// Tracer, when non-nil, receives a structured flight-recorder event
