@@ -11,7 +11,9 @@
 package repro
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -318,11 +320,83 @@ func BenchmarkSchedPickConservative(b *testing.B) {
 	b.Run("reference-per-event", func(b *testing.B) { benchmarkPickPerEvent(b, sched.ReferenceConservative{}) })
 }
 
+// schedShadowState builds the state EASY computes its shadow in on a
+// large machine. The per-event subcases above never reach the shadow:
+// the scaled Metacentrum machine has no idle processor left, so Pick
+// declines before reserving. Here, jobs of the unscaled huge-synthetic
+// preset run on its 1,024 processors — several hundred of them, narrow
+// ones preferred, with predicted ends spread by their requests and
+// pushed past any instant the loop reaches — and a few processors stay
+// idle. The queue head needs the idle processors plus the next twelve
+// releases, and every other queued job is widened past the idle count,
+// so each Pick computes the shadow and then scans the whole queue
+// before declining.
+func schedShadowState(b *testing.B, queued int) (*platform.Machine, []*job.Job) {
+	b.Helper()
+	cfg, err := workload.Preset("huge-synthetic")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := workload.NewGenSource(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := func() *job.Job {
+		r, err := g.NextJob()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return job.FromSWF(&r)
+	}
+	m := platform.New(cfg.MaxProcs)
+	var running []*job.Job
+	for m.Free() > 24 {
+		j := next()
+		if j.Procs > 4 || j.Procs > m.Free()-16 {
+			continue
+		}
+		j.Prediction = j.ClampPrediction(j.Request) + (1 << 40)
+		j.Started = true
+		m.Start(j)
+		running = append(running, j)
+	}
+	slices.SortFunc(running, func(a, b *job.Job) int {
+		return cmp.Or(cmp.Compare(a.PredictedEnd(), b.PredictedEnd()), cmp.Compare(a.ID, b.ID))
+	})
+	head := next()
+	head.Procs = m.Free()
+	for _, j := range running[:12] {
+		head.Procs += j.Procs
+	}
+	head.Prediction = head.ClampPrediction(head.Request)
+	queue := []*job.Job{head}
+	for len(queue) < queued {
+		j := next()
+		j.Prediction = j.ClampPrediction(j.Request)
+		j.Procs = max(j.Procs, m.Free()+1)
+		queue = append(queue, j)
+	}
+	return m, queue
+}
+
 func BenchmarkSchedPickEASYSJBF(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) { benchmarkPick(b, sched.NewEASY(sched.SJBFOrder)) })
 	b.Run("reference", func(b *testing.B) { benchmarkPick(b, sched.ReferenceEASY{Backfill: sched.SJBFOrder}) })
 	b.Run("incremental-per-event", func(b *testing.B) { benchmarkPickPerEvent(b, sched.NewEASY(sched.SJBFOrder)) })
 	b.Run("reference-per-event", func(b *testing.B) { benchmarkPickPerEvent(b, sched.ReferenceEASY{Backfill: sched.SJBFOrder}) })
+	// shadow-per-event advances the clock once per Pick, so every call
+	// recomputes the head's shadow against several hundred running jobs.
+	b.Run("shadow-per-event", func(b *testing.B) {
+		m, queue := schedShadowState(b, 1000)
+		p := sched.NewEASY(sched.SJBFOrder)
+		p.Pick(1, m, queue)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Pick(int64(i)+2, m, queue)
+		}
+		b.ReportMetric(float64(m.RunningCount()), "running-jobs")
+	})
 }
 
 // BenchmarkSchedSimEndToEnd shows what the incremental hot path buys a

@@ -1,13 +1,15 @@
 // Command benchdiff is the CI perf-regression gate: it parses `go test
 // -bench` output, compares ns/op and allocs/op against a checked-in
 // JSON baseline, and exits non-zero when any benchmark slowed down (or
-// allocates more) beyond the threshold. With -update it instead rewrites
-// the baseline from the measured numbers — the escape hatch for when a
+// allocates more) beyond the threshold. With -update it instead merges
+// the measured numbers into the baseline — the escape hatch for when a
 // legitimate speedup (or an intentional trade-off) moves the floor.
+// Entries the run did not measure are kept, so a partial run cannot drop
+// gated benchmarks; deleting an entry is a hand edit.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'SchedPick|SchedSimEndToEnd' -benchmem . | \
+//	go test -run '^$' -bench 'BenchmarkSchedPick|BenchmarkSchedSim|BenchmarkScheddIntake' -benchmem . | \
 //	    go run ./cmd/benchdiff -baseline BENCH_baseline.json -
 //
 //	go run ./cmd/benchdiff -baseline BENCH_baseline.json -update bench.out
@@ -28,9 +30,12 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
+	"maps"
 	"os"
 	"regexp"
 	"sort"
@@ -48,6 +53,16 @@ type Measurement struct {
 	HasAllocs bool `json:"has_allocs"`
 }
 
+// gatedPattern is the -bench pattern CI runs for the perf gate; the note
+// -update writes quotes it.
+const gatedPattern = "BenchmarkSchedPick|BenchmarkSchedSim|BenchmarkScheddIntake"
+
+// baselineNote is the note -update writes into the baseline.
+const baselineNote = "Performance baseline for the CI perf gate (cmd/benchdiff). " +
+	"Regenerate after an intentional performance change with: " +
+	"go test -run '^$' -bench '" + gatedPattern + "' -benchmem . " +
+	"| go run ./cmd/benchdiff -baseline BENCH_baseline.json -update -"
+
 // Baseline is the checked-in BENCH_baseline.json schema.
 type Baseline struct {
 	// Note documents how to regenerate the file.
@@ -59,7 +74,7 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline JSON to compare against (or write with -update)")
 	threshold := flag.Float64("threshold", 25, "maximum allowed slowdown in percent")
 	minNs := flag.Float64("min-ns", 1000, "ns/op noise floor: benchmarks under this on both sides are gated on allocs/op only")
-	update := flag.Bool("update", false, "rewrite the baseline from the measured numbers instead of comparing")
+	update := flag.Bool("update", false, "merge the measured numbers into the baseline instead of comparing")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-baseline file] [-threshold pct] [-update] bench-output-file (- for stdin)")
@@ -90,20 +105,17 @@ func main() {
 	}
 
 	if *update {
-		if err := writeBaseline(*baselinePath, current); err != nil {
+		total, err := updateBaseline(*baselinePath, current)
+		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(current), *baselinePath)
+		fmt.Printf("benchdiff: wrote %d measured of %d benchmarks to %s\n", len(current), total, *baselinePath)
 		return
 	}
 
-	data, err := os.ReadFile(*baselinePath)
+	base, err := readBaseline(*baselinePath)
 	if err != nil {
 		fatal(err)
-	}
-	var base Baseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		fatal(fmt.Errorf("parse %s: %w", *baselinePath, err))
 	}
 
 	report, failures := diff(base.Benchmarks, current, *threshold, *minNs)
@@ -231,19 +243,36 @@ func diff(base, current map[string]Measurement, thresholdPct, minNs float64) (st
 	return b.String(), failures
 }
 
-func writeBaseline(path string, current map[string]Measurement) error {
-	base := Baseline{
-		Note: "Performance baseline for the CI perf gate (cmd/benchdiff). " +
-			"Regenerate after an intentional performance change with: " +
-			"go test -run '^$' -bench 'BenchmarkSchedPick|BenchmarkSchedSim' -benchmem . " +
-			"| go run ./cmd/benchdiff -baseline BENCH_baseline.json -update -",
-		Benchmarks: current,
+func readBaseline(path string) (Baseline, error) {
+	var base Baseline
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return base, err
 	}
+	if err := json.Unmarshal(data, &base); err != nil {
+		return base, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return base, nil
+}
+
+// updateBaseline merges the measured entries into the baseline at path
+// (created if absent), keeps the entries the run did not measure, and
+// returns how many entries the file now holds.
+func updateBaseline(path string, measured map[string]Measurement) (int, error) {
+	base, err := readBaseline(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, err
+	}
+	if base.Benchmarks == nil {
+		base.Benchmarks = map[string]Measurement{}
+	}
+	maps.Copy(base.Benchmarks, measured)
+	base.Note = baselineNote
 	data, err := json.MarshalIndent(base, "", "  ")
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return len(base.Benchmarks), os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func fatal(err error) {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -124,5 +126,62 @@ func TestDiffNewBenchmarkIsNotAFailure(t *testing.T) {
 	out, failures := diff(base, cur, 25, 1000)
 	if failures != 0 || !strings.Contains(out, "not in baseline") {
 		t.Fatalf("new benchmark handled wrong (%d failures):\n%s", failures, out)
+	}
+}
+
+func TestUpdateMergesIntoBaseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if _, err := updateBaseline(path, parsed(t)); err != nil {
+		t.Fatal(err)
+	}
+	// A one-benchmark run moves that entry, adds a new one and keeps
+	// every entry it did not measure.
+	faster := Measurement{NsPerOp: 12, HasAllocs: true}
+	n, err := updateBaseline(path, map[string]Measurement{
+		"BenchmarkSchedPickEASYSJBF/reference": faster,
+		"BenchmarkBrandNew":                    {NsPerOp: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := readBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(parsed(t)) + 1
+	if n != want || len(base.Benchmarks) != want {
+		t.Fatalf("baseline holds %d entries (reported %d), want %d: %v", len(base.Benchmarks), n, want, base.Benchmarks)
+	}
+	if got := base.Benchmarks["BenchmarkSchedPickEASYSJBF/reference"]; got != faster {
+		t.Errorf("measured entry not updated: %+v", got)
+	}
+	if got := base.Benchmarks["BenchmarkSchedPickEASYSJBF/incremental"]; got != parsed(t)["BenchmarkSchedPickEASYSJBF/incremental"] {
+		t.Errorf("unmeasured entry changed: %+v", got)
+	}
+	if base.Note != baselineNote {
+		t.Errorf("note = %q", base.Note)
+	}
+}
+
+// TestGatedPatternMatchesCI: the note -update writes, the checked-in
+// baseline's note, the CI perf job and the documented regeneration
+// command all name the same benchmark set.
+func TestGatedPatternMatchesCI(t *testing.T) {
+	want := "-bench '" + gatedPattern + "'"
+	for _, f := range []string{"../../.github/workflows/ci.yml", "../../docs/PERFORMANCE.md", "../../README.md"} {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), want) {
+			t.Errorf("%s does not run %s", f, want)
+		}
+	}
+	base, err := readBaseline("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Note != baselineNote || !strings.Contains(baselineNote, want) {
+		t.Errorf("checked-in note %q, want %q", base.Note, baselineNote)
 	}
 }

@@ -10,6 +10,10 @@
 // EASY shadow time and extra processors) and "what does the whole future
 // availability profile look like?" (conservative backfilling).
 //
+// The running jobs are kept in predicted-end order, so the machine is the
+// only writer of a running job's prediction: a correction goes through
+// Machine.Correct, never through a direct write to job.Prediction.
+//
 // Drains are graceful: a drain claims idle processors immediately and
 // waits for busy ones, absorbing them as their jobs complete. Running
 // jobs are never killed by a capacity change, so the invariant
@@ -28,16 +32,30 @@ import (
 
 // Machine is the processor pool plus running-job bookkeeping.
 type Machine struct {
-	total        int64              // nominal machine size m
-	capacity     int64              // processors currently in service (total - applied drains)
-	free         int64              // processors in service and idle
-	pendingDrain int64              // drained-but-busy processors, absorbed as jobs finish
-	running      map[int64]*job.Job // keyed by job ID
+	total        int64 // nominal machine size m
+	capacity     int64 // processors currently in service (total - applied drains)
+	free         int64 // processors in service and idle
+	pendingDrain int64 // drained-but-busy processors, absorbed as jobs finish
 
-	// relScratch backs predictedReleases: the release list is rebuilt on
-	// every availability query (the EASY hot path), so it reuses one
-	// buffer instead of allocating per call. Callers must not retain it.
-	relScratch []release
+	// order holds one entry per running job, sorted by descending
+	// (predicted end, ID): the earliest predicted release sits at the
+	// tail, where finishes and corrections mostly remove, and the
+	// availability queries walk it from there. Start, Finish and Correct
+	// keep it sorted, which is why the machine must be the only writer
+	// of a running job's prediction. Entries are pointer-free, so their
+	// memmoves pay no GC write barriers; jobs maps an entry's slot back
+	// to its job, and freeSlots recycles the slots of finished jobs.
+	order     []runEntry
+	jobs      []*job.Job
+	freeSlots []int
+}
+
+// runEntry is one running job in the release order.
+type runEntry struct {
+	end   int64 // predicted end, Start + Prediction
+	id    int64
+	procs int64
+	slot  int // index into Machine.jobs
 }
 
 // New creates a machine with the given processor count, fully in service.
@@ -45,7 +63,7 @@ func New(totalProcs int64) *Machine {
 	if totalProcs <= 0 {
 		panic(fmt.Sprintf("platform: non-positive machine size %d", totalProcs))
 	}
-	return &Machine{total: totalProcs, capacity: totalProcs, free: totalProcs, running: make(map[int64]*job.Job)}
+	return &Machine{total: totalProcs, capacity: totalProcs, free: totalProcs}
 }
 
 // Total returns the nominal machine size m.
@@ -69,30 +87,42 @@ func (m *Machine) EventualCapacity() int64 { return m.capacity - m.pendingDrain 
 func (m *Machine) Free() int64 { return m.free }
 
 // RunningCount returns the number of running jobs.
-func (m *Machine) RunningCount() int { return len(m.running) }
+func (m *Machine) RunningCount() int { return len(m.order) }
 
-// Start allocates the job's processors. It is the caller's responsibility
-// to have set j.Start and j.Prediction. Start panics if capacity would be
-// exceeded — that is a scheduler bug, not an input error.
+// Start allocates the job's processors and enters the job in the release
+// order under its predicted end. It is the caller's responsibility to
+// have set j.Start and j.Prediction; from here until Finish, only
+// Correct may change them. Start panics if capacity would be exceeded or
+// the job is already running under the same predicted end — scheduler
+// bugs, not input errors.
 func (m *Machine) Start(j *job.Job) {
 	if j.Procs > m.free {
 		panic(fmt.Sprintf("platform: job %d needs %d procs but only %d free", j.ID, j.Procs, m.free))
 	}
-	if _, dup := m.running[j.ID]; dup {
+	e := runEntry{end: j.PredictedEnd(), id: j.ID, procs: j.Procs}
+	i, dup := m.find(e.end, e.id)
+	if dup {
 		panic(fmt.Sprintf("platform: job %d started twice", j.ID))
 	}
 	m.free -= j.Procs
-	m.running[j.ID] = j
+	if n := len(m.freeSlots); n > 0 {
+		e.slot = m.freeSlots[n-1]
+		m.freeSlots = m.freeSlots[:n-1]
+		m.jobs[e.slot] = j
+	} else {
+		e.slot = len(m.jobs)
+		m.jobs = append(m.jobs, j)
+	}
+	m.order = slices.Insert(m.order, i, e)
 }
 
 // Finish releases the job's processors. A pending drain absorbs the
 // freed processors before they return to the idle pool, shrinking the
 // in-service capacity.
 func (m *Machine) Finish(j *job.Job) {
-	if _, ok := m.running[j.ID]; !ok {
-		panic(fmt.Sprintf("platform: job %d finished but was not running", j.ID))
-	}
-	delete(m.running, j.ID)
+	e := m.remove(j, "finished")
+	m.jobs[e.slot] = nil
+	m.freeSlots = append(m.freeSlots, e.slot)
 	freed := j.Procs
 	if m.pendingDrain > 0 {
 		take := m.pendingDrain
@@ -107,6 +137,48 @@ func (m *Machine) Finish(j *job.Job) {
 	if m.free > m.capacity {
 		panic(fmt.Sprintf("platform: free %d exceeds capacity %d after finishing job %d", m.free, m.capacity, j.ID))
 	}
+}
+
+// Correct installs a corrected prediction for a running job and moves
+// the job to its new place in the release order. It is the only way a
+// running job's prediction may change: writing j.Prediction directly
+// would leave the order stale. Correct panics if j is not running.
+func (m *Machine) Correct(j *job.Job, prediction int64) {
+	e := m.remove(j, "corrected")
+	j.Prediction = prediction
+	e.end = j.PredictedEnd()
+	i, _ := m.find(e.end, e.id)
+	m.order = slices.Insert(m.order, i, e)
+}
+
+// find returns the position of the key (end, id) in the descending
+// release order — where it is, or where it would be inserted — and
+// whether an entry with that key is there.
+func (m *Machine) find(end, id int64) (int, bool) {
+	lo, hi := 0, len(m.order)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if e := m.order[h]; e.end > end || (e.end == end && e.id > id) {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(m.order) && m.order[lo].end == end && m.order[lo].id == id
+}
+
+// remove takes the running job j out of the release order and returns
+// its entry. The entry is looked up under j's current predicted end, so
+// a job that is not running, or whose prediction changed behind the
+// machine's back, panics with what was attempted.
+func (m *Machine) remove(j *job.Job, what string) runEntry {
+	i, ok := m.find(j.PredictedEnd(), j.ID)
+	if !ok || m.jobs[m.order[i].slot] != j {
+		panic(fmt.Sprintf("platform: job %d %s but was not running", j.ID, what))
+	}
+	e := m.order[i]
+	m.order = slices.Delete(m.order, i, i+1)
+	return e
 }
 
 // Drain removes up to procs processors from service (a node failure or
@@ -160,12 +232,13 @@ func (m *Machine) Restore(procs int64) (restored int64) {
 
 // Running returns the running jobs in deterministic (ID) order. It
 // allocates a fresh slice per call and is meant for cold paths (policy
-// resyncs, tests); the availability hot paths go through
-// predictedReleases, which reuses a scratch buffer instead.
+// resyncs, tests); the availability queries walk the release order.
 func (m *Machine) Running() []*job.Job {
-	jobs := make([]*job.Job, 0, len(m.running))
-	for _, j := range m.running {
-		jobs = append(jobs, j)
+	jobs := make([]*job.Job, 0, len(m.order))
+	for _, j := range m.jobs {
+		if j != nil {
+			jobs = append(jobs, j)
+		}
 	}
 	slices.SortFunc(jobs, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
 	return jobs
@@ -179,89 +252,40 @@ const InfiniteTime = int64(math.MaxInt64 / 4)
 // now+1 when the prediction is overdue (the job has outlived it but is
 // still running, so "any moment now" — strictly after now, since the
 // processors are demonstrably not free at now). Machine.Reservation and
-// FillAvailability must both use this helper so the EASY and conservative
+// FillAvailability apply the same clamp so the EASY and conservative
 // availability views cannot drift apart.
 func ReleaseInstant(j *job.Job, now int64) int64 {
-	if end := j.PredictedEnd(); end > now {
-		return end
-	}
-	return now + 1
+	return releaseAt(j.PredictedEnd(), now)
 }
 
-// release is one running job's predicted processor release.
-type release struct {
-	at    int64
-	procs int64
-	id    int64
+func releaseAt(end, now int64) int64 {
+	return max(end, now+1)
 }
 
-// predictedReleases returns the running jobs' releases in deterministic
-// (instant, ID) order — the order a pending drain is predicted to absorb
-// them in. The returned slice aliases the machine's scratch buffer: it
-// is valid until the next call and must not be retained. Map iteration
-// order does not leak into the result because (instant, ID) is a total
-// order over the running set (IDs are unique), so the sort lands on one
-// canonical permutation regardless of insertion order.
-func (m *Machine) predictedReleases(now int64) []release {
-	releases := m.relScratch[:0]
-	for _, j := range m.running {
-		releases = append(releases, release{at: ReleaseInstant(j, now), procs: j.Procs, id: j.ID})
+// nextRelease sums the processors released at one instant, walking the
+// release order down from index i, which must be the first entry of that
+// instant. It returns the instant, the sum and the index of the first
+// entry of the next instant (-1 past the last). Overdue entries all map
+// to now+1, and every other end is later, so the instants come out in
+// ascending order even though the overdue entries are sorted by their
+// stale ends.
+func (m *Machine) nextRelease(i int, now int64) (at, procs int64, next int) {
+	at = releaseAt(m.order[i].end, now)
+	for ; i >= 0 && releaseAt(m.order[i].end, now) == at; i-- {
+		procs += m.order[i].procs
 	}
-	slices.SortFunc(releases, func(a, b release) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	m.relScratch = releases
-	return releases
+	return at, procs, i
 }
 
-// releaseBefore is the (instant, ID) total order predictedReleases sorts
-// by and the release heap pops in.
-func releaseBefore(a, b release) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// OverdueProcs returns the processors held by running jobs whose
+// predicted end is at or before now: busy at now, and released at now+1
+// by ReleaseInstant.
+func (m *Machine) OverdueProcs(now int64) int64 {
+	var procs int64
+	for i := len(m.order) - 1; i >= 0 && m.order[i].end <= now; i-- {
+		procs += m.order[i].procs
 	}
-	return a.id < b.id
-}
-
-// heapifyReleases turns the scratch buffer into a binary min-heap under
-// releaseBefore in O(n).
-func heapifyReleases(h []release) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDownRelease(h, i)
-	}
-}
-
-func siftDownRelease(h []release, i int) {
-	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
-		}
-		smallest := left
-		if right := left + 1; right < n && releaseBefore(h[right], h[left]) {
-			smallest = right
-		}
-		if !releaseBefore(h[smallest], h[i]) {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-}
-
-// popRelease removes the heap minimum, returning the shrunk heap.
-func popRelease(h []release) []release {
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	if last > 0 {
-		siftDownRelease(h, 0)
-	}
-	return h
+	return procs
 }
 
 // Reservation computes EASY's single reservation for a job of width
@@ -275,13 +299,14 @@ func popRelease(h []release) []release {
 // eventual capacity gets (InfiniteTime, 0): it cannot start until a
 // restore grows the machine.
 //
-// This is EASY's per-event hot path, so the releases are consumed
-// through a partial heap sort instead of a full sort: heapify is O(R)
-// and the loop pops only until availability covers the request —
-// typically far fewer than R pops — where a full sort would pay
-// O(R log R) every event. The pop order is the same (instant, ID) total
-// order predictedReleases uses, so the computed reservation is
-// bit-identical to the sorted scan's.
+// This is EASY's per-event hot path. It walks the release order from
+// the earliest end and stops at the first instant whose releases cover
+// the request, so it costs the releases it needs, not the running set.
+// The drain absorbs min(pending, released) of everything released so
+// far whatever order the releases come in, so the processors available
+// after an instant depend only on which releases precede it; coverage is
+// tested only after an instant's last release, which makes the result
+// exact although the overdue entries are not in (instant, ID) order.
 func (m *Machine) Reservation(now int64, procs int64) (shadow int64, extra int64) {
 	if procs <= m.free {
 		return now, m.free - procs
@@ -289,33 +314,14 @@ func (m *Machine) Reservation(now int64, procs int64) (shadow int64, extra int64
 	if procs > m.EventualCapacity() {
 		return InfiniteTime, 0
 	}
-	releases := m.relScratch[:0]
-	for _, j := range m.running {
-		releases = append(releases, release{at: ReleaseInstant(j, now), procs: j.Procs, id: j.ID})
-	}
-	m.relScratch = releases
-	heapifyReleases(releases)
-	avail := m.free
-	pending := m.pendingDrain
-	h := releases
-	for len(h) > 0 {
-		t := h[0].at
-		for len(h) > 0 && h[0].at == t {
-			gain := h[0].procs
-			h = popRelease(h)
-			if pending > 0 {
-				take := pending
-				if take > gain {
-					take = gain
-				}
-				pending -= take
-				gain -= take
-			}
-			avail += gain
+	var released int64
+	for i := len(m.order) - 1; i >= 0; {
+		at, gain, next := m.nextRelease(i, now)
+		released += gain
+		if avail := m.free + max(0, released-m.pendingDrain); avail >= procs {
+			return at, avail - procs
 		}
-		if avail >= procs {
-			return t, avail - procs
-		}
+		i = next
 	}
 	// Unreachable for procs <= EventualCapacity(): every job eventually
 	// releases and pending drains never exceed the running usage.
@@ -324,26 +330,24 @@ func (m *Machine) Reservation(now int64, procs int64) (shadow int64, extra int64
 
 // FillAvailability resets p to the machine's predicted availability view
 // from now on: capacity ceiling at the eventual capacity, the current
-// idle processors free at now, and each running job's release (net of
-// pending-drain absorption, in ReleaseInstant order) growing availability
-// at its predicted end. It is the one construction conservative
-// backfilling plans against, shared by the incremental policy and
-// ProfileFromMachine so the two cannot drift apart.
+// idle processors free at now, and the running jobs' releases, net of
+// pending-drain absorption, growing availability at their ReleaseInstant.
+// It walks the release order like Reservation, reserving each instant's
+// net release in one step; a profile is kept coalesced, so this builds
+// the same segments as one reservation per job would. It is the one
+// construction conservative backfilling plans against, shared by the
+// incremental policy and ProfileFromMachine so the two cannot drift
+// apart.
 func (m *Machine) FillAvailability(p *Profile, now int64) {
 	p.Reset(now, m.EventualCapacity())
-	pending := m.pendingDrain
-	for _, r := range m.predictedReleases(now) {
-		gain := r.procs
-		if pending > 0 {
-			take := pending
-			if take > gain {
-				take = gain
-			}
-			pending -= take
-			gain -= take
+	var released, gained int64
+	for i := len(m.order) - 1; i >= 0; {
+		at, procs, next := m.nextRelease(i, now)
+		released += procs
+		if gain := max(0, released-m.pendingDrain) - gained; gain > 0 {
+			p.Reserve(now, at, gain)
+			gained += gain
 		}
-		if gain > 0 {
-			p.Reserve(now, r.at, gain)
-		}
+		i = next
 	}
 }

@@ -244,7 +244,7 @@ func TestConservativeExpiryExtendsProfile(t *testing.T) {
 	// Instead, at t=50 the runner outlives its prediction; the
 	// correction extends it to 200. The filler no longer fits... but
 	// conservative may still start it at t=50: only 6 procs are busy.
-	runner.Prediction = 200
+	m.Correct(runner, 200)
 	c.OnExpiry(runner, 50)
 	got = c.Pick(50, m, []*job.Job{fits, filler})
 	want := (ReferenceConservative{}).Pick(50, m, []*job.Job{fits, filler})

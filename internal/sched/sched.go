@@ -31,7 +31,8 @@
 // queue order) — no map iteration, randomness or wall clock — and every
 // ordering a policy maintains breaks ties on the unique job ID (the
 // SJBF index orders by (prediction, submit, ID); the machine's release
-// order by (instant, ID)), so "equal" jobs cannot reorder between runs.
+// order by (predicted end, ID)), so "equal" jobs cannot reorder between
+// runs.
 // Routers (router.go) extend the same contract to the federated layer:
 // Route is a pure function of the job and the per-cluster states, and
 // the engine consults it exactly once per job in trace submission
@@ -77,7 +78,8 @@ type Policy interface {
 	// OnFinish tells the policy a running job completed.
 	OnFinish(j *job.Job, now int64)
 	// OnExpiry tells the policy a running job outlived its prediction and
-	// a correction installed a new one (j.Prediction is already updated).
+	// a correction installed a new one (platform.Machine.Correct has
+	// already updated j.Prediction).
 	OnExpiry(j *job.Job, now int64)
 	// OnCancel tells the policy a job left the system without completing:
 	// removed from the waiting queue, or killed while running (j.Started
@@ -392,15 +394,13 @@ type Conservative struct {
 	m *platform.Machine
 
 	// base carries the running jobs' reservations from the current
-	// origin onward. ends tracks each running job's live reservation;
-	// releases is a lazy min-heap over predicted ends used to find
-	// overdue jobs (predicted end <= now) without scanning all of them.
-	base     *platform.Profile
-	ends     map[int64]resv
-	releases releaseHeap
+	// origin onward. ends tracks each running job's live reservation,
+	// whose tail an early finish releases and a correction extends.
+	base *platform.Profile
+	ends map[int64]resv
 
-	// scratch is the per-instant scan profile: base, plus [now, now+1)
-	// overlays for overdue running jobs (platform.ReleaseInstant
+	// scratch is the per-instant scan profile: base, plus one [now,
+	// now+1) overlay for the overdue running jobs (platform.ReleaseInstant
 	// semantics), plus the queued jobs' reservations in arrival order.
 	// cut reports that the scan stopped early, so scratch lacks the
 	// reservations of the jobs it did not reach.
@@ -420,8 +420,6 @@ type Conservative struct {
 	// from the machine's effective view at every Pick (the same
 	// construction the reference policy uses) until the drain settles.
 	degraded bool
-
-	overdue []heapEntry // reusable scratch for overdue collection
 }
 
 type resv struct {
@@ -452,11 +450,9 @@ func (c *Conservative) resync(m *platform.Machine, now int64) {
 		c.scratch = platform.NewProfile(now, m.Total())
 	}
 	clear(c.ends)
-	c.releases = c.releases[:0]
 	if c.degraded {
 		// The effective view already folds overdue predictions and
-		// drain absorption in; ends/releases stay empty so the overdue
-		// overlay in rescan is a no-op.
+		// drain absorption in, so rescan adds no overdue overlay.
 		m.FillAvailability(c.base, now)
 	} else {
 		c.base.Reset(now, m.Capacity())
@@ -476,7 +472,6 @@ func (c *Conservative) track(j *job.Job, now int64) {
 		c.base.Reserve(now, end, j.Procs)
 	}
 	c.ends[j.ID] = resv{end: end, procs: j.Procs}
-	c.releases.push(heapEntry{at: end, id: j.ID})
 }
 
 // Pick implements Policy.
@@ -506,25 +501,13 @@ func (c *Conservative) Pick(now int64, m *platform.Machine, queue []*job.Job) *j
 // which keeps the walk one-way and the cut exact.
 func (c *Conservative) rescan(now int64, queue []*job.Job) {
 	c.scratch.CopyFrom(c.base)
-	// Overlay overdue running jobs: their processors are demonstrably
-	// busy at now and predicted to release "any moment", i.e. at now+1.
-	c.overdue = c.overdue[:0]
-	for len(c.releases) > 0 {
-		top := c.releases[0]
-		r, live := c.ends[top.id]
-		if !live || r.end != top.at {
-			c.releases.pop() // superseded by a finish or a correction
-			continue
+	if !c.degraded {
+		// Overlay the overdue running jobs: their processors are
+		// demonstrably busy at now and predicted to release "any
+		// moment", i.e. at now+1.
+		if procs := c.m.OverdueProcs(now); procs > 0 {
+			c.scratch.Reserve(now, now+1, procs)
 		}
-		if top.at > now {
-			break
-		}
-		c.releases.pop()
-		c.overdue = append(c.overdue, top)
-	}
-	for _, o := range c.overdue {
-		c.releases.push(o) // keep for later events at this instant
-		c.scratch.Reserve(now, now+1, c.ends[o.id].procs)
 	}
 	c.cache = c.cache[:0]
 	c.cut = false
@@ -626,8 +609,7 @@ func (c *Conservative) OnFinish(j *job.Job, now int64) {
 	if r.end > now {
 		c.base.Release(now, r.end, r.procs)
 	}
-	// r.end <= now: the reservation already lapsed (overdue prediction);
-	// the stale heap entry is discarded lazily.
+	// r.end <= now: the reservation already lapsed (overdue prediction).
 }
 
 // OnExpiry implements Policy: extend the job's reservation to its
@@ -654,7 +636,6 @@ func (c *Conservative) OnExpiry(j *job.Job, now int64) {
 		c.base.Reserve(from, end, j.Procs)
 	}
 	c.ends[j.ID] = resv{end: end, procs: j.Procs}
-	c.releases.push(heapEntry{at: end, id: j.ID})
 }
 
 // OnCancel implements Policy. A canceled waiting job invalidates every
@@ -673,54 +654,3 @@ func (c *Conservative) OnCancel(j *job.Job, now int64) {
 // release) changed, so all incremental state is rebuilt at the next
 // Pick.
 func (c *Conservative) OnCapacityChange(int64, *platform.Machine) { c.desync() }
-
-// heapEntry is one (predicted end, job ID) pair in the lazy release heap.
-type heapEntry struct {
-	at int64
-	id int64
-}
-
-// releaseHeap is a binary min-heap by release instant. Entries are lazy:
-// a finish or correction leaves the old entry in place, and consumers
-// validate entries against the ends map before trusting them.
-type releaseHeap []heapEntry
-
-func (h *releaseHeap) push(e heapEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].at <= s[i].at {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *releaseHeap) pop() heapEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && s[left].at < s[smallest].at {
-			smallest = left
-		}
-		if right < n && s[right].at < s[smallest].at {
-			smallest = right
-		}
-		if smallest == i {
-			break
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
-	}
-	return top
-}

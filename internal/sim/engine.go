@@ -413,7 +413,7 @@ func (e *engine) handle(ev eventq.Event[payload]) {
 				next = j.Request
 			}
 		}
-		j.Prediction = next
+		c.machine.Correct(j, next)
 		j.Corrections++
 		e.res.Corrections++
 		if c.sub != nil {
