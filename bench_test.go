@@ -329,7 +329,7 @@ func BenchmarkSchedPickConservative(b *testing.B) {
 // pushed past any instant the loop reaches — and a few processors stay
 // idle. The queue head needs the idle processors plus the next twelve
 // releases, and every other queued job is widened past the idle count,
-// so each Pick computes the shadow and then scans the whole queue
+// so each Pick computes the shadow and then rules the whole queue out
 // before declining.
 func schedShadowState(b *testing.B, queued int) (*platform.Machine, []*job.Job) {
 	b.Helper()
@@ -386,6 +386,8 @@ func BenchmarkSchedPickEASYSJBF(b *testing.B) {
 	b.Run("reference-per-event", func(b *testing.B) { benchmarkPickPerEvent(b, sched.ReferenceEASY{Backfill: sched.SJBFOrder}) })
 	// shadow-per-event advances the clock once per Pick, so every call
 	// recomputes the head's shadow against several hundred running jobs.
+	// Every queued job is wider than the idle processors, so the index
+	// walk skips all of its blocks and the shadow is what it times.
 	b.Run("shadow-per-event", func(b *testing.B) {
 		m, queue := schedShadowState(b, 1000)
 		p := sched.NewEASY(sched.SJBFOrder)
@@ -396,6 +398,46 @@ func BenchmarkSchedPickEASYSJBF(b *testing.B) {
 			p.Pick(int64(i)+2, m, queue)
 		}
 		b.ReportMetric(float64(m.RunningCount()), "running-jobs")
+	})
+	// churn-per-event holds a backlog of the size the 1M-job replay's
+	// largest same-instant burst reaches (48,436 jobs), every job too wide
+	// to backfill. Each op submits one narrow job through OnSubmit, picks
+	// it at a fresh instant and starts it through OnStart, so it times the
+	// shadow, a walk past every block ahead of the new job's, and one
+	// insert and one removal in the index.
+	b.Run("churn-per-event", func(b *testing.B) {
+		m, queue := schedShadowState(b, 48000)
+		preds := make([]int64, len(queue))
+		for i, j := range queue {
+			preds[i] = j.Prediction
+		}
+		slices.Sort(preds)
+		narrow := make([]*job.Job, 16)
+		for k := range narrow {
+			// Predictions in the backlog's top quarter: most blocks lie
+			// ahead of the new job's.
+			narrow[k] = &job.Job{ID: int64(1<<40 + k), Procs: 1, Prediction: preds[len(preds)*(k+48)/64]}
+		}
+		p := sched.NewEASY(sched.SJBFOrder)
+		p.Pick(1, m, queue)
+		op := func(i int) {
+			j := narrow[i%len(narrow)]
+			now := int64(i) + 2
+			queue = append(queue, j)
+			p.OnSubmit(j, now)
+			if got := p.Pick(now, m, queue); got != j {
+				b.Fatalf("picked %v, want the narrow job %d", got, j.ID)
+			}
+			p.OnStart(j, now)
+			queue = queue[:len(queue)-1]
+		}
+		op(0)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op(i + 1)
+		}
+		b.ReportMetric(float64(len(queue)), "queued-jobs")
 	})
 }
 

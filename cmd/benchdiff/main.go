@@ -25,6 +25,14 @@
 // allocs/op alone (where zero really is zero on every machine).
 // allocs/op is held to the same threshold, except a zero-alloc
 // baseline is a hard guarantee: any allocation at all fails the gate.
+//
+// -update stamps every entry it measures with the machine that measured
+// it: the bench output's cpu: line, the GOMAXPROCS suffix, and the Go
+// version benchdiff was built with (the toolchain of the `go test` run
+// when both go through one `go` command, as above). The report prints
+// the stamps beside every failing entry, so a slowdown measured on
+// another host reads as such. Entries from before stamping load with
+// none.
 package main
 
 import (
@@ -38,6 +46,7 @@ import (
 	"maps"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,6 +60,23 @@ type Measurement struct {
 	// (requires -benchmem); it keeps a baseline made with -benchmem
 	// from failing against output made without it in a confusing way.
 	HasAllocs bool `json:"has_allocs"`
+	// Machine is the host that measured the entry; zero for entries
+	// recorded before -update stamped them.
+	Machine machine `json:"machine,omitzero"`
+}
+
+// machine identifies the host and toolchain behind a measurement.
+type machine struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func (m machine) String() string {
+	if m == (machine{}) {
+		return "an unrecorded machine"
+	}
+	return fmt.Sprintf("%s, GOMAXPROCS=%d, %s", m.CPU, m.GOMAXPROCS, m.Go)
 }
 
 // gatedPattern is the -bench pattern CI runs for the perf gate; the note
@@ -132,23 +158,35 @@ func main() {
 // count, then value/unit pairs.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.+)$`)
 
-// gomaxprocsSuffix is the trailing -N testing appends to benchmark names.
-var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
+// gomaxprocsSuffix is the trailing -N testing appends to benchmark names
+// when GOMAXPROCS is not 1.
+var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // parseBench extracts ns/op and allocs/op per normalized benchmark name,
-// collapsing repeated measurements (-count > 1) to their minimum.
+// collapsing repeated measurements (-count > 1) to their minimum, and
+// stamps each with the machine that measured it.
 func parseBench(r io.Reader) (map[string]Measurement, error) {
 	out := map[string]Measurement{}
+	cpu := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(sc.Text()))
+		line := strings.TrimSpace(sc.Text())
+		if v, ok := strings.CutPrefix(line, "cpu:"); ok {
+			cpu = strings.TrimSpace(v)
+			continue
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		name := gomaxprocsSuffix.ReplaceAllString(m[1], "")
+		name, procs := m[1], 1
+		if sfx := gomaxprocsSuffix.FindStringSubmatch(name); sfx != nil {
+			name = strings.TrimSuffix(name, sfx[0])
+			procs, _ = strconv.Atoi(sfx[1])
+		}
 		fields := strings.Fields(m[2])
-		var meas Measurement
+		meas := Measurement{Machine: machine{CPU: cpu, GOMAXPROCS: procs, Go: runtime.Version()}}
 		seenNs := false
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -200,9 +238,11 @@ func diff(base, current map[string]Measurement, thresholdPct, minNs float64) (st
 		got, ok := current[name]
 		if !ok {
 			fmt.Fprintf(&b, "MISSING  %-58s baseline %.1f ns/op, not measured\n", name, want.NsPerOp)
+			fmt.Fprintf(&b, "         baseline measured on %s\n", want.Machine)
 			failures++
 			continue
 		}
+		before := failures
 		status := "ok     "
 		pct := 100 * (got.NsPerOp - want.NsPerOp) / want.NsPerOp
 		switch {
@@ -229,6 +269,9 @@ func diff(base, current map[string]Measurement, thresholdPct, minNs float64) (st
 			}
 		}
 		fmt.Fprintln(&b)
+		if failures > before {
+			fmt.Fprintf(&b, "         baseline measured on %s; this run on %s\n", want.Machine, got.Machine)
+		}
 	}
 	var extra []string
 	for name := range current {

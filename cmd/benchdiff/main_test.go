@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -50,6 +51,24 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+func TestParseBenchStampsMachine(t *testing.T) {
+	m, err := parseBench(strings.NewReader(sampleBench + `cpu: other cpu
+BenchmarkSchedSimStream/easy-sjbf	      10	   5000000 ns/op	 5000 B/op	     131 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := machine{CPU: "some cpu", GOMAXPROCS: 8, Go: runtime.Version()}
+	if got := m["BenchmarkSchedPickEASYSJBF/incremental"].Machine; got != want {
+		t.Errorf("stamp %+v, want %+v", got, want)
+	}
+	// No suffix means GOMAXPROCS=1; a later cpu: line applies from there on.
+	want = machine{CPU: "other cpu", GOMAXPROCS: 1, Go: runtime.Version()}
+	if got := m["BenchmarkSchedSimStream/easy-sjbf"].Machine; got != want {
+		t.Errorf("unsuffixed stamp %+v, want %+v", got, want)
+	}
+}
+
 func TestDiffPasses(t *testing.T) {
 	m := parsed(t)
 	out, failures := diff(m, m, 25, 1000)
@@ -94,6 +113,27 @@ func TestDiffNoiseFloorSkipsNsGateOnly(t *testing.T) {
 	cur["BenchmarkSchedPickEASYSJBF/incremental"] = inc
 	if out, failures := diff(base, cur, 25, 1000); failures != 1 || !strings.Contains(out, "SLOWER") {
 		t.Fatalf("above-floor slowdown not caught (%d failures):\n%s", failures, out)
+	}
+}
+
+// TestDiffPrintsStampsOfFailingEntries: a failing entry is reported
+// with the machines on both sides, a passing one without.
+func TestDiffPrintsStampsOfFailingEntries(t *testing.T) {
+	base := parsed(t)
+	ref := base["BenchmarkSchedPickEASYSJBF/reference"]
+	ref.Machine = machine{CPU: "baseline cpu", GOMAXPROCS: 2, Go: "go1.0"}
+	base["BenchmarkSchedPickEASYSJBF/reference"] = ref
+	cur := parsed(t)
+	slow := cur["BenchmarkSchedPickEASYSJBF/reference"]
+	slow.NsPerOp *= 2
+	cur["BenchmarkSchedPickEASYSJBF/reference"] = slow
+	out, failures := diff(base, cur, 25, 1000)
+	want := "baseline measured on baseline cpu, GOMAXPROCS=2, go1.0; this run on some cpu, GOMAXPROCS=8, " + runtime.Version()
+	if failures != 1 || !strings.Contains(out, want) {
+		t.Fatalf("failing entry printed without stamps (%d failures):\n%s", failures, out)
+	}
+	if n := strings.Count(out, "measured on"); n != 1 {
+		t.Fatalf("%d stamp lines for one failure:\n%s", n, out)
 	}
 }
 
@@ -160,6 +200,54 @@ func TestUpdateMergesIntoBaseline(t *testing.T) {
 	}
 	if base.Note != baselineNote {
 		t.Errorf("note = %q", base.Note)
+	}
+}
+
+// TestUnstampedBaselineLoads: a baseline written before entries carried
+// stamps still loads and gates, and -update stamps only what it measures.
+func TestUnstampedBaselineLoads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	old := `{"note": "n", "benchmarks": {
+  "BenchmarkSchedPickEASYSJBF/reference": {"ns_per_op": 1148276, "allocs_per_op": 21, "has_allocs": true},
+  "BenchmarkSchedSimEndToEnd/easy-sjbf-incremental": {"ns_per_op": 101000000, "allocs_per_op": 60000, "has_allocs": true}
+}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := readBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := parsed(t)
+	slow := cur["BenchmarkSchedSimEndToEnd/easy-sjbf-incremental"]
+	slow.NsPerOp *= 2
+	cur["BenchmarkSchedSimEndToEnd/easy-sjbf-incremental"] = slow
+	out, failures := diff(base.Benchmarks, cur, 25, 1000)
+	if failures != 1 || !strings.Contains(out, "baseline measured on an unrecorded machine; this run on some cpu") {
+		t.Fatalf("unstamped baseline gated wrong (%d failures):\n%s", failures, out)
+	}
+
+	measured := parsed(t)
+	if _, err := updateBaseline(path, map[string]Measurement{
+		"BenchmarkSchedPickEASYSJBF/reference": measured["BenchmarkSchedPickEASYSJBF/reference"],
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if base, err = readBaseline(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := base.Benchmarks["BenchmarkSchedPickEASYSJBF/reference"].Machine; got.CPU != "some cpu" || got.GOMAXPROCS != 8 {
+		t.Errorf("measured entry stamped %+v", got)
+	}
+	if got := base.Benchmarks["BenchmarkSchedSimEndToEnd/easy-sjbf-incremental"].Machine; got != (machine{}) {
+		t.Errorf("unmeasured entry gained stamp %+v", got)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"machine"`); n != 1 {
+		t.Errorf("written baseline holds %d machine stamps, want 1:\n%s", n, data)
 	}
 }
 

@@ -40,13 +40,14 @@ type Job struct {
 	// Started/Finished/Start/End record the realized schedule.
 	Started  bool
 	Finished bool
-	Start    int64
-	End      int64
 	// Canceled marks a job removed by a scenario cancellation: dropped
 	// before submission or pulled from the queue (Started stays false,
 	// the job never runs) or killed while running (Finished is set and
-	// Runtime is truncated to the time actually executed).
+	// Runtime is truncated to the time actually executed). It sits with
+	// the other flags so the struct stays 128 bytes.
 	Canceled bool
+	Start    int64
+	End      int64
 	// Cluster is the index of the federated cluster the job was routed
 	// to at submission. Always 0 on single-machine runs, and for jobs a
 	// scenario canceled before they were ever routed.
@@ -57,6 +58,11 @@ type Job struct {
 	// or out-of-range values (archive logs with exotic partition
 	// numbering) are ignored by the per-client collectors.
 	Client int
+	// Seq is the job's place in its cluster's waiting queue: the engine
+	// stamps it from one per-run counter as the job joins the queue, so
+	// every queue is strictly increasing in Seq and the engine finds a
+	// queued job by binary search. Zero until the job is queued.
+	Seq int64
 
 	// Record points at the original SWF record, which carries the extra
 	// descriptive fields (executable, queue, ...) used by learning.

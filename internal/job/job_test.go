@@ -2,6 +2,7 @@ package job
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/swf"
 )
@@ -135,5 +136,17 @@ func TestStateTransitions(t *testing.T) {
 	k.Runtime = k.End - k.Start
 	if k.Runtime != 20 || k.Wait() != 0 {
 		t.Fatalf("killed job state wrong: %+v", k)
+	}
+}
+
+// TestJobIs128Bytes: the engine's queues, the machine's slot table and
+// the stream arena all hold jobs by the million; keep a Job in two cache
+// lines.
+func TestJobIs128Bytes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is pinned on 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Job{}); got != 128 {
+		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 128", got)
 	}
 }

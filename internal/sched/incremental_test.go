@@ -32,6 +32,33 @@ func TestEASYPickWithoutHooksMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEASYRebuildKeepsTiedJobsInArrivalOrder: jobs whose keys tie
+// (prediction, submission and a reused ID) are scanned in arrival order
+// by the hooks and by ReferenceEASY, so a rebuilt index must keep that
+// order too. Every tied job fits here, so the first one must start.
+func TestEASYRebuildKeepsTiedJobsInArrivalOrder(t *testing.T) {
+	m := platform.New(100)
+	running(m, 99, 60, 0, 100) // 40 free until t=100
+	for n := 2; n <= 200; n++ {
+		q := []*job.Job{waiting(1, 90, 0, 1000)}
+		for k := range n {
+			q = append(q, waiting(7, 40-int64(k%40), 5, 10))
+		}
+		got := NewEASY(SJBFOrder).Pick(20, m, q)
+		want := (ReferenceEASY{Backfill: SJBFOrder}).Pick(20, m, q)
+		if got != want || got == nil {
+			t.Fatalf("n=%d: incremental picked procs %d, reference procs %d", n, procsOf(got), procsOf(want))
+		}
+	}
+}
+
+func procsOf(j *job.Job) int64 {
+	if j == nil {
+		return 0
+	}
+	return j.Procs
+}
+
 // TestEASYIndexMaintainedByHooks drives the SJBF index purely through
 // OnSubmit/OnStart and checks scan order follows predictions.
 func TestEASYIndexMaintainedByHooks(t *testing.T) {

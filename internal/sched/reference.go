@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 	"repro/internal/platform"
@@ -49,10 +49,8 @@ func (e ReferenceEASY) Pick(now int64, m *platform.Machine, queue []*job.Job) *j
 	shadow, extra := m.Reservation(now, head.Procs)
 	candidates := queue[1:]
 	if e.Backfill == SJBFOrder {
-		candidates = append([]*job.Job(nil), candidates...)
-		sort.SliceStable(candidates, func(a, b int) bool {
-			return predLess(candidates[a], candidates[b])
-		})
+		candidates = slices.Clone(candidates)
+		slices.SortStableFunc(candidates, predCmp)
 	}
 	for _, c := range candidates {
 		if c.Procs > free {

@@ -11,8 +11,9 @@
 // Policies are stateful scheduling sessions: the engine drives them
 // through lifecycle hooks (OnSubmit/OnStart/OnFinish/OnExpiry, mirroring
 // predict.Predictor) so they can maintain persistent acceleration
-// structures — a prediction-ordered backfill index for EASY-SJBF, a
-// cached shadow reservation for EASY, and a persistent availability
+// structures — a backfill index for EASY-SJBF, kept in prediction order
+// and cut into blocks that record their narrowest width, a cached
+// shadow reservation for EASY, and a persistent availability
 // profile plus per-instant decision cache for Conservative — instead of
 // recomputing everything from scratch at every Pick. The from-scratch
 // formulations survive as ReferenceEASY and ReferenceConservative (see
@@ -30,9 +31,9 @@
 // Every Pick decision is a pure function of (instant, machine state,
 // queue order) — no map iteration, randomness or wall clock — and every
 // ordering a policy maintains breaks ties on the unique job ID (the
-// SJBF index orders by (prediction, submit, ID); the machine's release
-// order by (predicted end, ID)), so "equal" jobs cannot reorder between
-// runs.
+// SJBF index orders by (prediction, submit, ID), sorting stably where
+// those tie; the machine's release order by (predicted end, ID)), so
+// "equal" jobs cannot reorder between runs.
 // Routers (router.go) extend the same contract to the federated layer:
 // Route is a pure function of the job and the per-cluster states, and
 // the engine consults it exactly once per job in trace submission
@@ -55,9 +56,6 @@
 package sched
 
 import (
-	"slices"
-	"sort"
-
 	"repro/internal/job"
 	"repro/internal/platform"
 )
@@ -122,20 +120,6 @@ func (o Order) String() string {
 	return "FCFS"
 }
 
-// predLess is the SJBF scan order: shortest prediction first, with
-// submission time and job ID as deterministic tie-breakers. Predictions
-// are fixed while a job waits (corrections only touch running jobs), so
-// an index sorted by predLess stays sorted until jobs enter or leave.
-func predLess(a, b *job.Job) bool {
-	if a.Prediction != b.Prediction {
-		return a.Prediction < b.Prediction
-	}
-	if a.Submit != b.Submit {
-		return a.Submit < b.Submit
-	}
-	return a.ID < b.ID
-}
-
 // FCFS runs jobs strictly in arrival order with no backfilling: the head
 // job starts as soon as it fits; nothing overtakes it. It is stateless.
 type FCFS struct{ noHooks }
@@ -166,8 +150,9 @@ func (FCFS) Pick(_ int64, m *platform.Machine, queue []*job.Job) *job.Job {
 // once per (instant, head) and updated in O(1) as backfill jobs start
 // (a feasible backfill start never moves the shadow; it only consumes
 // extra processors when it outlives the shadow), and the SJBF candidate
-// order is a persistent sorted index maintained by the lifecycle hooks
-// instead of a fresh copy-and-sort of the queue at every Pick.
+// order is a persistent blocked index (sjbf.go) maintained by the
+// lifecycle hooks instead of a fresh copy-and-sort of the queue at every
+// Pick.
 type EASY struct {
 	// Backfill is the candidate scan order.
 	Backfill Order
@@ -177,7 +162,7 @@ type EASY struct {
 	// index holds the queued jobs in predLess order (SJBF only).
 	// indexOK reports whether the hooks have kept it in lockstep with
 	// the queue; when false (or on a length mismatch) Pick rebuilds it.
-	index   []*job.Job
+	index   sjbfIndex
 	indexOK bool
 
 	// Cached head reservation, valid for (resNow, resHead) while resOK.
@@ -203,23 +188,9 @@ func (e *EASY) Name() string {
 // machine (a fresh simulation reusing the policy value).
 func (e *EASY) reset(m *platform.Machine) {
 	e.m = m
-	e.index = e.index[:0]
+	e.index.reset()
 	e.indexOK = true
 	e.resOK = false
-}
-
-func (e *EASY) rebuildIndex(queue []*job.Job) {
-	e.index = append(e.index[:0], queue...)
-	slices.SortFunc(e.index, func(a, b *job.Job) int {
-		if predLess(a, b) {
-			return -1
-		}
-		if predLess(b, a) {
-			return 1
-		}
-		return 0
-	})
-	e.indexOK = true
 }
 
 // Pick implements Policy.
@@ -246,37 +217,13 @@ func (e *EASY) Pick(now int64, m *platform.Machine, queue []*job.Job) *job.Job {
 	}
 	shadow, extra := e.resShadow, e.resExtra
 	if e.Backfill == SJBFOrder {
-		if !e.indexOK || len(e.index) != len(queue) {
-			e.rebuildIndex(queue)
+		if !e.indexOK || e.index.len() != len(queue) {
+			e.index.rebuild(queue)
+			e.indexOK = true
 		}
-		// The index is sorted by prediction (predLess), so the jobs
-		// predicted to complete by the shadow time form a prefix whose
-		// end a binary search finds; within it any job narrow enough to
-		// fit backfills. Past the prefix, only jobs narrow enough to fit
-		// inside the extra processors qualify — and when there are none,
-		// the whole suffix scan vanishes. The split preserves the exact
-		// first-match-in-index-order semantics of the single scan: every
-		// prefix position precedes every suffix position, and the
-		// admission test is equivalent on each side of the cutoff.
-		cutoff := shadow - now
-		k := sort.Search(len(e.index), func(i int) bool { return e.index[i].Prediction > cutoff })
-		for _, c := range e.index[:k] {
-			if c != head && c.Procs <= free {
-				return c
-			}
-		}
-		lim := extra
-		if free < lim {
-			lim = free
-		}
-		if lim > 0 {
-			for _, c := range e.index[k:] {
-				if c != head && c.Procs <= lim {
-					return c
-				}
-			}
-		}
-		return nil
+		// The head is indexed too but never qualifies: it is wider than
+		// free, and free bounds every admission.
+		return e.index.first(shadow-now, free, min(extra, free))
 	}
 	for _, c := range queue[1:] {
 		if c.Procs > free {
@@ -296,10 +243,7 @@ func (e *EASY) OnSubmit(j *job.Job, _ int64) {
 	if e.Backfill != SJBFOrder || !e.indexOK {
 		return
 	}
-	i := sort.Search(len(e.index), func(i int) bool { return predLess(j, e.index[i]) })
-	e.index = append(e.index, nil)
-	copy(e.index[i+1:], e.index[i:])
-	e.index[i] = j
+	e.index.insert(j)
 }
 
 // dropFromIndex removes a job leaving the waiting queue from the SJBF
@@ -308,10 +252,7 @@ func (e *EASY) dropFromIndex(j *job.Job) {
 	if e.Backfill != SJBFOrder || !e.indexOK {
 		return
 	}
-	i := sort.Search(len(e.index), func(i int) bool { return !predLess(e.index[i], j) })
-	if i < len(e.index) && e.index[i] == j {
-		e.index = append(e.index[:i], e.index[i+1:]...)
-	} else {
+	if !e.index.remove(j) {
 		e.indexOK = false // unknown job: the index lost sync with the queue
 	}
 }

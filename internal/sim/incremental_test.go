@@ -130,6 +130,43 @@ func TestIncrementalConservativeMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIncrementalEASYMatchesReferenceOnBurst queues a same-instant burst
+// of 1,500 jobs behind wide long runners, so the SJBF index spans dozens
+// of blocks while it drains, and a trickle of later arrivals is inserted
+// into and picked from its middle. User-average predictions undershoot,
+// so expiries move the shadow while the burst waits.
+func TestIncrementalEASYMatchesReferenceOnBurst(t *testing.T) {
+	src := rng.New(11)
+	const maxProcs = 64
+	jobs := []swf.Job{
+		{JobNumber: 1, SubmitTime: 0, RunTime: 5000, RequestedTime: 6000, RequestedProcs: 40, Status: 1},
+		{JobNumber: 2, SubmitTime: 0, RunTime: 7000, RequestedTime: 9000, RequestedProcs: 20, Status: 1},
+	}
+	for i := 3; len(jobs) < 1800; i++ {
+		submit := int64(10)
+		if i > 1500 {
+			submit = 10 + int64(i-1500)*7 // a trickle while the burst drains
+		}
+		run := 1 + src.Int63n(900)
+		procs := 1 + src.Int63n(maxProcs)
+		jobs = append(jobs, swf.Job{
+			JobNumber:      int64(i),
+			SubmitTime:     submit,
+			RunTime:        run,
+			AllocatedProcs: procs,
+			RequestedProcs: procs,
+			RequestedTime:  run + src.Int63n(2*run),
+			UserID:         int64(src.Intn(6)),
+			Status:         1,
+		})
+	}
+	w := &trace.Workload{Name: "burst", MaxProcs: maxProcs, Jobs: jobs}
+	assertIdenticalSchedules(t, w, "burst",
+		sim.Config{Policy: sched.NewEASY(sched.SJBFOrder), Predictor: predict.NewUserAverage(2), Corrector: correct.Incremental{}},
+		sim.Config{Policy: sched.ReferenceEASY{Backfill: sched.SJBFOrder}, Predictor: predict.NewUserAverage(2), Corrector: correct.Incremental{}},
+	)
+}
+
 // TestIncrementalMatchesReferenceOnPresets repeats the comparison on the
 // realistic preset workloads the paper's evaluation uses.
 func TestIncrementalMatchesReferenceOnPresets(t *testing.T) {

@@ -45,7 +45,15 @@
 //
 // A script's cancellations and live cancel commands name jobs by ID;
 // the engine resolves them through one ID index that holds only the IDs
-// a cancellation can still name. The differential tests
+// a cancellation can still name.
+//
+// Each cluster's waiting queue is in FCFS order: a submission appends,
+// and a start or a cancellation removes without reordering. The engine
+// stamps each job with job.Seq from one counter per run as it joins a
+// queue, so every queue is strictly increasing in Seq, and a start and a
+// queued cancellation find their job with the same binary search.
+//
+// The differential tests
 // (stream_diff_test.go, federated_diff_test.go, live_diff_test.go) hold
 // the intakes to decision-identical schedules, and golden_test.go holds
 // the loop to digests recorded before the drivers were folded onto it.
