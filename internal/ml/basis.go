@@ -39,6 +39,49 @@ func BasisDim(n int) int { return 1 + 2*n + n*(n-1)/2 }
 // Dim returns the expanded dimension.
 func (b *Basis) Dim() int { return len(b.out) }
 
+// Dot returns w·Φ(x) without building Φ(x). It visits the coordinates
+// in Expand's order and skips each Φ_k that is zero, as a dot over
+// Expand(x) does, so the sum keeps its terms, their order and its bits.
+// The zero test is on each product, not on its factors: two nonzero
+// features can multiply to an underflowed zero.
+func (b *Basis) Dot(w, x []float64) float64 {
+	if len(x) != b.n {
+		panic("ml: basis dimension mismatch")
+	}
+	w = w[:len(b.out)]
+	// Φ_0 = 1. Its term is added to a zero sum, as in a dot over Φ,
+	// rather than starting the sum, so a -0 weight still sums to +0.
+	dot := 0.0
+	dot += w[0]
+	lin := w[1:][:len(x)]
+	for i, xi := range x {
+		if xi != 0 {
+			dot += lin[i] * xi
+		}
+	}
+	if b.degree == 1 {
+		return dot
+	}
+	sq := w[1+len(x):][:len(x)]
+	for i, xi := range x {
+		if p := xi * xi; p != 0 {
+			dot += sq[i] * p
+		}
+	}
+	cross := w[1+2*len(x):]
+	for i, xi := range x {
+		rest := x[i+1:]
+		row := cross[:len(rest)]
+		for j, xj := range rest {
+			if p := xi * xj; p != 0 {
+				dot += row[j] * p
+			}
+		}
+		cross = cross[len(rest):]
+	}
+	return dot
+}
+
 // Expand maps the raw vector into the polynomial basis. The returned
 // slice is owned by the Basis and overwritten by the next call; callers
 // that need to keep it must copy.
@@ -52,16 +95,18 @@ func (b *Basis) Expand(x []float64) []float64 {
 	if b.degree == 1 {
 		return out
 	}
-	k := 1 + b.n
-	for i := 0; i < b.n; i++ {
-		out[k] = x[i] * x[i]
-		k++
+	sq := out[1+len(x):][:len(x)]
+	for i, xi := range x {
+		sq[i] = xi * xi
 	}
-	for i := 0; i < b.n; i++ {
-		for j := i + 1; j < b.n; j++ {
-			out[k] = x[i] * x[j]
-			k++
+	cross := out[1+2*len(x):]
+	for i, xi := range x {
+		rest := x[i+1:]
+		row := cross[:len(rest)]
+		for j, xj := range rest {
+			row[j] = xi * xj
 		}
+		cross = cross[len(rest):]
 	}
 	return out
 }

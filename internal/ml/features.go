@@ -62,7 +62,11 @@ type userState struct {
 	submittedCount int
 	lastCompletion int64
 	hasCompletion  bool
-	running        map[int64]*job.Job // currently running jobs of the user
+	// running holds the user's running jobs, found by identity: a job ID
+	// may be reused while its first holder still runs. The features sum
+	// integer-valued terms below 2^53 over it, so its order never shows
+	// in their bits.
+	running []*job.Job
 }
 
 // Tracker extracts Table-2 feature vectors and maintains the per-user
@@ -80,18 +84,27 @@ func NewTracker() *Tracker {
 func (t *Tracker) user(id int64) *userState {
 	u, ok := t.users[id]
 	if !ok {
-		u = &userState{running: make(map[int64]*job.Job)}
+		u = &userState{}
 		t.users[id] = u
 	}
 	return u
 }
 
-// Features extracts the raw feature vector for a job at its release date.
-// Call before OnSubmit for the same job (the job's own request must not
-// pollute its historical averages).
+// Features extracts the raw feature vector for a job at its release date
+// into a new slice; see FillFeatures.
 func (t *Tracker) Features(j *job.Job, now int64) []float64 {
+	var x [FeatureCount]float64
+	t.FillFeatures(&x, j, now)
+	return x[:]
+}
+
+// FillFeatures extracts the raw feature vector for a job at its release
+// date into x, overwriting every element. Call before OnSubmit for the
+// same job (the job's own request must not pollute its historical
+// averages).
+func (t *Tracker) FillFeatures(x *[FeatureCount]float64, j *job.Job, now int64) {
 	u := t.user(j.User)
-	x := make([]float64, FeatureCount)
+	*x = [FeatureCount]float64{}
 	x[FeatRequestedTime] = float64(j.Request)
 	x[FeatLastRuntime] = u.lastRuntimes[0]
 	x[FeatLastRuntime2] = u.lastRuntimes[1]
@@ -122,8 +135,8 @@ func (t *Tracker) Features(j *job.Job, now int64) []float64 {
 			if elapsed > longest {
 				longest = elapsed
 			}
-			x[FeatOccupiedResources] += float64(rj.Procs)
 		}
+		x[FeatOccupiedResources] = procsSum
 		x[FeatAveCurrProcs] = procsSum / float64(n)
 		x[FeatJobsRunning] = float64(n)
 		x[FeatLongestCurrent] = longest
@@ -142,7 +155,6 @@ func (t *Tracker) Features(j *job.Job, now int64) []float64 {
 	x[FeatSinDay] = math.Sin(day)
 	x[FeatCosWeek] = math.Cos(week)
 	x[FeatSinWeek] = math.Sin(week)
-	return x
 }
 
 // average returns the mean of the user's k most recent runtimes (as many
@@ -175,14 +187,23 @@ func (t *Tracker) OnSubmit(j *job.Job) {
 
 // OnStart records that the job started running.
 func (t *Tracker) OnStart(j *job.Job) {
-	t.user(j.User).running[j.ID] = j
+	u := t.user(j.User)
+	u.running = append(u.running, j)
 }
 
 // OnFinish records the job's completion and folds its actual running
 // time into the user's history.
 func (t *Tracker) OnFinish(j *job.Job, now int64) {
 	u := t.user(j.User)
-	delete(u.running, j.ID)
+	for i, rj := range u.running {
+		if rj == j {
+			last := len(u.running) - 1
+			u.running[i] = u.running[last]
+			u.running[last] = nil
+			u.running = u.running[:last]
+			break
+		}
+	}
 	u.lastRuntimes[2] = u.lastRuntimes[1]
 	u.lastRuntimes[1] = u.lastRuntimes[0]
 	u.lastRuntimes[0] = float64(j.Runtime)

@@ -62,9 +62,10 @@ func NewModel(cfg Config) *Model {
 func (m *Model) Loss() Loss { return m.cfg.Loss }
 
 // Predict evaluates f(w, x) on a raw feature vector. The result is an
-// unbounded regression value; callers clamp it into [1, p̃j].
+// unbounded regression value; callers clamp it into [1, p̃j]. Φ(x) is
+// never built (see Basis.Dot), so only training pays for an expansion.
 func (m *Model) Predict(x []float64) float64 {
-	return m.opt.Predict(m.basis.Expand(x))
+	return m.basis.Dot(m.opt.w, x)
 }
 
 // Observe performs one on-line training step for a completed job with

@@ -66,58 +66,62 @@ func (o *NAG) Dim() int { return len(o.w) }
 // Weights exposes the current weight vector (not a copy; read-only use).
 func (o *NAG) Weights() []float64 { return o.w }
 
-// Predict returns the current linear prediction w·x.
-func (o *NAG) Predict(x []float64) float64 {
-	var dot float64
-	for i, xi := range x {
-		if xi != 0 {
-			dot += o.w[i] * xi
-		}
-	}
-	return dot
-}
-
 // Step performs one NAG update. grad receives the model's prediction at
 // the current (scale-corrected) weights and must return the loss
 // derivative dL/dŷ at that prediction. Step returns that prediction.
+//
+// x is read twice: once to maintain the scales and sum the prediction,
+// once to update the weights. The prediction is summed in the scale
+// pass rather than in a pass of its own: weight i changes only in
+// iteration i, so the dot adds the same rescaled terms in the same order
+// either way, and its bits do not change.
 func (o *NAG) Step(x []float64, grad func(pred float64) float64) float64 {
 	o.t++
-	// Scale maintenance: shrink weights whose coordinate just revealed a
-	// larger magnitude, so that w_i·x_i stays calibrated.
+	w, s, g2 := o.w[:len(x)], o.s[:len(x)], o.g2[:len(x)]
+	n, pred := o.n, 0.0
 	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		a := math.Abs(xi)
-		if a > o.s[i] {
-			if o.s[i] > 0 {
-				r := o.s[i] / a
-				o.w[i] *= r * r
+		// Scale maintenance: shrink a weight whose coordinate just
+		// revealed a larger magnitude, so that w_i·x_i stays calibrated.
+		si := s[i]
+		if a := math.Abs(xi); a > si {
+			if si > 0 {
+				r := si / a
+				w[i] *= r * r
 			}
-			o.s[i] = a
+			si = a
+			s[i] = a
 		}
-		o.n += (xi / o.s[i]) * (xi / o.s[i])
+		n += (xi / si) * (xi / si)
+		pred += w[i] * xi
 	}
-	pred := o.Predict(x)
-	if o.n == 0 {
+	o.n = n
+	if n == 0 {
 		return pred
 	}
 	dLdPred := grad(pred)
-	scale := o.eta * o.etaScale * math.Sqrt(o.t/o.n)
+	scale := o.eta * o.etaScale * math.Sqrt(o.t/n)
+	lambda := o.lambda
+	// The weight update: a square root and a division per coordinate,
+	// which no bit-identical rewrite removes. They set the step's floor.
 	for i, xi := range x {
-		if xi == 0 && o.w[i] == 0 {
+		wi := w[i]
+		if xi == 0 && wi == 0 {
 			continue
 		}
-		gi := dLdPred*xi + o.lambda*o.w[i]
+		gi := dLdPred*xi + lambda*wi
 		if gi == 0 {
 			continue
 		}
-		o.g2[i] += gi * gi
-		si := o.s[i]
+		gg := g2[i] + gi*gi
+		g2[i] = gg
+		si := s[i]
 		if si == 0 {
 			si = 1
 		}
-		o.w[i] -= scale * gi / (si * math.Sqrt(o.g2[i]))
+		w[i] = wi - scale*gi/(si*math.Sqrt(gg))
 	}
 	return pred
 }

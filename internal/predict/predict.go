@@ -120,14 +120,31 @@ func (p *UserAverage) OnFinish(j *job.Job, _ int64) {
 	p.history[j.User] = h
 }
 
+// Releaser is implemented by predictors that keep per-job state from
+// Predict until OnFinish. A job canceled while it waits never reaches
+// OnFinish, so the simulator calls Release for it instead; nothing else
+// about the job is learned.
+type Releaser interface {
+	Release(j *job.Job)
+}
+
 // Learning wraps the ml regression model behind the Predictor interface:
 // features are extracted at submission from the tracker state, remembered
 // until the job completes, and then used for one on-line training step.
+//
+// The remembered features are keyed by the job itself, not its ID (an ID
+// may be reused while its first holder is still live), and they leave at
+// OnFinish or Release. That is before the simulator recycles the job, so
+// no entry outlives its job and the table stays O(live jobs). Slots are
+// reused through a free list, so a steady stream of jobs allocates
+// nothing.
 type Learning struct {
-	model    *ml.Model
-	tracker  *ml.Tracker
-	features map[int64][]float64 // job ID -> raw features at submission
-	name     string
+	model   *ml.Model
+	tracker *ml.Tracker
+	pending map[*job.Job]int32 // predicted, not yet retired job -> its slot
+	slots   [][ml.FeatureCount]float64
+	free    []int32 // unused slots
+	name    string
 }
 
 // NewLearning builds an ML predictor training under the given loss with
@@ -139,10 +156,10 @@ func NewLearning(loss ml.Loss) *Learning {
 // NewLearningConfig builds an ML predictor with explicit configuration.
 func NewLearningConfig(cfg ml.Config) *Learning {
 	return &Learning{
-		model:    ml.NewModel(cfg),
-		tracker:  ml.NewTracker(),
-		features: make(map[int64][]float64),
-		name:     "ML[" + cfg.Loss.Name() + "]",
+		model:   ml.NewModel(cfg),
+		tracker: ml.NewTracker(),
+		pending: make(map[*job.Job]int32),
+		name:    "ML[" + cfg.Loss.Name() + "]",
 	}
 }
 
@@ -154,9 +171,20 @@ func (p *Learning) Model() *ml.Model { return p.model }
 
 // Predict implements Predictor.
 func (p *Learning) Predict(j *job.Job, now int64) int64 {
-	x := p.tracker.Features(j, now)
-	p.features[j.ID] = x
-	return int64(p.model.Predict(x))
+	k, ok := p.pending[j]
+	if !ok {
+		if n := len(p.free); n > 0 {
+			k = p.free[n-1]
+			p.free = p.free[:n-1]
+		} else {
+			k = int32(len(p.slots))
+			p.slots = append(p.slots, [ml.FeatureCount]float64{})
+		}
+		p.pending[j] = k
+	}
+	x := &p.slots[k]
+	p.tracker.FillFeatures(x, j, now)
+	return int64(p.model.Predict(x[:]))
 }
 
 // OnSubmit implements Predictor.
@@ -167,9 +195,19 @@ func (p *Learning) OnStart(j *job.Job, _ int64) { p.tracker.OnStart(j) }
 
 // OnFinish implements Predictor.
 func (p *Learning) OnFinish(j *job.Job, now int64) {
-	if x, ok := p.features[j.ID]; ok {
-		p.model.Observe(x, float64(j.Runtime), float64(j.Procs))
-		delete(p.features, j.ID)
+	if k, ok := p.pending[j]; ok {
+		p.model.Observe(p.slots[k][:], float64(j.Runtime), float64(j.Procs))
+		p.free = append(p.free, k)
+		delete(p.pending, j)
 	}
 	p.tracker.OnFinish(j, now)
+}
+
+// Release implements Releaser: it forgets the features of a job that
+// will not finish.
+func (p *Learning) Release(j *job.Job) {
+	if k, ok := p.pending[j]; ok {
+		p.free = append(p.free, k)
+		delete(p.pending, j)
+	}
 }

@@ -103,12 +103,82 @@ func TestLearningFeatureMapCleanup(t *testing.T) {
 	p := NewLearning(ml.ELoss)
 	jj := j(1, 1, 2, 60, 600)
 	p.Predict(jj, 0)
-	if len(p.features) != 1 {
-		t.Fatalf("feature map size %d after predict", len(p.features))
+	if len(p.pending) != 1 {
+		t.Fatalf("feature table size %d after predict", len(p.pending))
 	}
 	p.OnFinish(jj, 100)
-	if len(p.features) != 0 {
+	if len(p.pending) != 0 {
 		t.Fatal("features not released after finish")
+	}
+	// The next job takes the freed slot instead of a new one.
+	p.Predict(j(2, 1, 2, 60, 600), 100)
+	if len(p.slots) != 1 {
+		t.Fatalf("%d slots after a finish and a predict, want 1", len(p.slots))
+	}
+}
+
+// TestLearningReusedIDTrainsEachJob runs two overlapping jobs of one
+// user for three rounds, once under distinct IDs and once under one
+// shared ID. Learning must not tell the two runs apart: each job trains
+// on its own features, and both count as running.
+func TestLearningReusedIDTrainsEachJob(t *testing.T) {
+	run := func(secondID int64) []int64 {
+		p := NewLearning(ml.ELoss)
+		var preds []int64
+		now := int64(0)
+		for round := 0; round < 3; round++ {
+			a := j(1, 5, 4, 3000, 7200)
+			b := j(secondID, 5, 16, 60, 600)
+			for _, jj := range []*job.Job{a, b} {
+				preds = append(preds, p.Predict(jj, now))
+				p.OnSubmit(jj, now)
+				jj.Start = now
+				p.OnStart(jj, now)
+				now += 30
+			}
+			now += b.Runtime
+			p.OnFinish(b, now)
+			now = a.Start + a.Runtime
+			p.OnFinish(a, now)
+			now += 100
+		}
+		return preds
+	}
+	distinct, shared := run(2), run(1)
+	for i := range distinct {
+		if distinct[i] != shared[i] {
+			t.Fatalf("a reused ID changed the predictions:\n distinct IDs %v\n shared ID    %v", distinct, shared)
+		}
+	}
+}
+
+// TestLearningReleaseEmptiesTable: jobs canceled while queued are
+// released instead of finished, and leave nothing behind.
+func TestLearningReleaseEmptiesTable(t *testing.T) {
+	var p Predictor = NewLearning(ml.ELoss)
+	r, ok := p.(Releaser)
+	if !ok {
+		t.Fatal("Learning does not implement Releaser")
+	}
+	jobs := make([]*job.Job, 1000)
+	for i := range jobs {
+		jobs[i] = j(int64(i+1), int64(i%7), 2, 60, 600)
+		p.Predict(jobs[i], int64(i))
+		p.OnSubmit(jobs[i], int64(i))
+	}
+	for _, jj := range jobs {
+		r.Release(jj)
+	}
+	l := p.(*Learning)
+	if len(l.pending) != 0 {
+		t.Fatalf("%d feature vectors left after releasing every job", len(l.pending))
+	}
+	if len(l.free) != len(l.slots) {
+		t.Fatalf("%d of %d slots free after releasing every job", len(l.free), len(l.slots))
+	}
+	r.Release(jobs[0]) // a second release is a no-op
+	if len(l.free) != len(l.slots) {
+		t.Fatal("a repeated release freed a slot twice")
 	}
 }
 

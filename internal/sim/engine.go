@@ -519,6 +519,9 @@ func (e *engine) handleCancel(id, now int64) (c *clusterState, runPass bool) {
 	removed := c.dequeue(j)
 	if removed {
 		c.policy.OnCancel(j, now)
+		if r, ok := c.predictor.(predict.Releaser); ok {
+			r.Release(j)
+		}
 		if c.sub != nil {
 			c.sub.Canceled++
 		}

@@ -2,9 +2,11 @@ package sim_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/correct"
+	"repro/internal/job"
 	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -128,10 +130,10 @@ func runScripted(t *testing.T, w *trace.Workload, script *scenario.Script, polic
 	return res
 }
 
-// TestCancelStateMachine drives one job through each cancellation state:
-// before submission, while queued, while running, and after completion
-// (stale).
-func TestCancelStateMachine(t *testing.T) {
+// cancelScenario cancels one job in each cancellation state: before
+// submission (3), while queued (2), while running (4), and after
+// completion (5, stale).
+func cancelScenario() (*trace.Workload, *scenario.Script) {
 	w := scriptedWorkload(
 		mkSWF(1, 0, 100, 8, 200), // runs [0,100) on the whole machine
 		mkSWF(2, 0, 50, 8, 100),  // queued behind job 1, canceled at t=10
@@ -146,6 +148,12 @@ func TestCancelStateMachine(t *testing.T) {
 		Cancel(130, 4). // running
 		Cancel(150, 5). // after completion: stale
 		MustBuild()
+	return w, script
+}
+
+// TestCancelStateMachine drives one job through each cancellation state.
+func TestCancelStateMachine(t *testing.T) {
+	w, script := cancelScenario()
 	res := runScripted(t, w, script, sched.NewEASY(sched.SJBFOrder))
 
 	if res.Canceled != 3 {
@@ -173,6 +181,35 @@ func TestCancelStateMachine(t *testing.T) {
 	j5 := res.Jobs[byID[5]]
 	if j5.Canceled || !j5.Finished || j5.Runtime != 10 {
 		t.Fatalf("stale cancel must not touch a completed job: %+v", j5)
+	}
+}
+
+// releaseRecorder is a requested-time predictor that records the jobs
+// the engine finishes and the ones it releases through predict.Releaser.
+type releaseRecorder struct {
+	*predict.RequestedTime
+	finished, released []int64
+}
+
+func (p *releaseRecorder) OnFinish(j *job.Job, _ int64) { p.finished = append(p.finished, j.ID) }
+func (p *releaseRecorder) Release(j *job.Job)           { p.released = append(p.released, j.ID) }
+
+// TestQueuedCancelReleasesPredictorState: a job canceled while queued
+// never finishes, so the engine releases the predictor's state for it,
+// once. A killed job still finishes (and is learned from), and a job
+// canceled before submission was never predicted: neither is released.
+func TestQueuedCancelReleasesPredictorState(t *testing.T) {
+	w, script := cancelScenario()
+	p := &releaseRecorder{RequestedTime: predict.NewRequestedTime()}
+	if _, err := sim.Run(w, sim.Config{Policy: sched.NewEASY(sched.SJBFOrder), Predictor: p, Script: script}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(p.released, []int64{2}) {
+		t.Fatalf("released %v, want only the queued cancel [2]", p.released)
+	}
+	slices.Sort(p.finished)
+	if !slices.Equal(p.finished, []int64{1, 4, 5, 6}) {
+		t.Fatalf("finished %v, want [1 4 5 6] (the kill included)", p.finished)
 	}
 }
 
