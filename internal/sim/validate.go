@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/job"
 )
@@ -78,15 +79,18 @@ func validateSchedule(jobs []*job.Job, maxProcs int64, steps []CapacityStep, pre
 			delta{at: j.Start, procs: j.Procs, id: j.ID},
 			delta{at: j.End, procs: -j.Procs, isEnd: true, id: j.ID})
 	}
-	sort.Slice(deltas, func(a, b int) bool {
-		if deltas[a].at != deltas[b].at {
-			return deltas[a].at < deltas[b].at
+	slices.SortFunc(deltas, func(a, b delta) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
 		// Releases before allocations at the same instant.
-		if deltas[a].isEnd != deltas[b].isEnd {
-			return deltas[a].isEnd
+		if a.isEnd != b.isEnd {
+			if a.isEnd {
+				return -1
+			}
+			return 1
 		}
-		return deltas[a].id < deltas[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 	// Walk the usage deltas against the realized capacity timeline.
 	// Capacity changes at an instant apply after its releases and before

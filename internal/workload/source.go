@@ -1,9 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/swf"
 	"repro/internal/trace"
@@ -84,8 +85,11 @@ type CleanSource struct {
 	maxProcs int64
 	instant  []swf.Job // cleaned jobs sharing the current submit instant
 	next     int
-	pending  *swf.Job // first cleaned job of the following instant
-	done     bool
+	// pending is the first cleaned job of the following instant, held
+	// while hasPending.
+	pending    swf.Job
+	hasPending bool
+	done       bool
 }
 
 // NewCleanSource wraps src with the per-job cleaning rules for a machine
@@ -111,9 +115,9 @@ func (c *CleanSource) NextJob() (swf.Job, error) {
 func (c *CleanSource) fill() error {
 	c.instant = c.instant[:0]
 	c.next = 0
-	if c.pending != nil {
-		c.instant = append(c.instant, *c.pending)
-		c.pending = nil
+	if c.hasPending {
+		c.instant = append(c.instant, c.pending)
+		c.hasPending = false
 	}
 	for !c.done {
 		raw, err := c.src.NextJob()
@@ -129,7 +133,7 @@ func (c *CleanSource) fill() error {
 			continue
 		}
 		if len(c.instant) > 0 && j.SubmitTime != c.instant[0].SubmitTime {
-			c.pending = &j
+			c.pending, c.hasPending = j, true
 			break
 		}
 		c.instant = append(c.instant, j)
@@ -137,8 +141,8 @@ func (c *CleanSource) fill() error {
 	if len(c.instant) == 0 {
 		return io.EOF
 	}
-	sort.SliceStable(c.instant, func(a, b int) bool {
-		return c.instant[a].JobNumber < c.instant[b].JobNumber
+	slices.SortStableFunc(c.instant, func(a, b swf.Job) int {
+		return cmp.Compare(a.JobNumber, b.JobNumber)
 	})
 	return nil
 }

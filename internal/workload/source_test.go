@@ -110,6 +110,40 @@ func TestCleanSourceSortsSubmitTies(t *testing.T) {
 	}
 }
 
+// tieSource is an endless log of two jobs per submit instant, each pair
+// written out of job-number order.
+type tieSource struct{ n int64 }
+
+func (s *tieSource) NextJob() (swf.Job, error) {
+	s.n++
+	k := (s.n + 1) / 2
+	return swf.Job{JobNumber: 2*k - 1 + s.n%2, SubmitTime: k, RunTime: 10, RequestedProcs: 1, RequestedTime: 20}, nil
+}
+
+// TestCleanSourceSteadyStateAllocatesNothing: once its instant buffer
+// has grown, the cleaner holds the next instant's first job by value
+// and sorts ties without reflection, so streaming allocates nothing.
+func TestCleanSourceSteadyStateAllocatesNothing(t *testing.T) {
+	c := NewCleanSource(&tieSource{}, 16)
+	var last int64
+	next := func() {
+		j, err := c.NextJob()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.JobNumber != last+1 {
+			t.Fatalf("job %d after %d: ties not sorted", j.JobNumber, last)
+		}
+		last = j.JobNumber
+	}
+	for i := 0; i < 10; i++ {
+		next()
+	}
+	if avg := testing.AllocsPerRun(1000, next); avg != 0 {
+		t.Fatalf("%v allocations per job in steady state, want 0", avg)
+	}
+}
+
 func ids(jobs []swf.Job) []int64 {
 	out := make([]int64, len(jobs))
 	for i := range jobs {
