@@ -470,20 +470,20 @@ func BenchmarkSchedSimEndToEnd(b *testing.B) {
 // against the same preset the preloading benchmark uses, collector
 // attached — the steady-state cost of the lazy intake, the retirement
 // sink and the one-pass metrics. allocs/op additionally guards the
-// per-job overhead of the streaming path.
+// per-job overhead of the streaming path. The AVE2 sessions price the
+// policies; paper-best is the paper's own triple, whose on-line learning
+// (feature extraction, prediction and one NAG step per job) is most of
+// its cost.
 func BenchmarkSchedSimStream(b *testing.B) {
 	w := benchWorkload(b, "KTH-SP2")
-	run := func(mk func() sched.Policy) func(*testing.B) {
+	run := func(mk func() sim.Config) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				col := metrics.NewCollector()
-				res, err := sim.RunStream(w.Name, w.MaxProcs, workload.FromWorkload(w), sim.Config{
-					Policy:    mk(),
-					Predictor: predict.NewUserAverage(2),
-					Corrector: correct.Incremental{},
-					Sink:      col,
-				})
+				cfg := mk()
+				cfg.Sink = col
+				res, err := sim.RunStream(w.Name, w.MaxProcs, workload.FromWorkload(w), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -493,8 +493,14 @@ func BenchmarkSchedSimStream(b *testing.B) {
 			}
 		}
 	}
-	b.Run("easy-sjbf", run(func() sched.Policy { return sched.NewEASY(sched.SJBFOrder) }))
-	b.Run("conservative", run(func() sched.Policy { return sched.NewConservative() }))
+	ave2 := func(mk func() sched.Policy) func() sim.Config {
+		return func() sim.Config {
+			return sim.Config{Policy: mk(), Predictor: predict.NewUserAverage(2), Corrector: correct.Incremental{}}
+		}
+	}
+	b.Run("easy-sjbf", run(ave2(func() sched.Policy { return sched.NewEASY(sched.SJBFOrder) })))
+	b.Run("conservative", run(ave2(func() sched.Policy { return sched.NewConservative() })))
+	b.Run("paper-best", run(core.PaperBest().Config))
 }
 
 // BenchmarkSchedSimStreamGen runs generator-to-metrics fully streamed —

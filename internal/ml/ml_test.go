@@ -435,6 +435,25 @@ func BenchmarkBasisExpand(b *testing.B) {
 	}
 }
 
+// predictSink keeps the benchmarked prediction live.
+var predictSink float64
+
+func BenchmarkModelPredict(b *testing.B) {
+	m := NewModel(DefaultConfig(ELoss))
+	x := make([]float64, FeatureCount)
+	for i := range x {
+		x[i] = float64(i * 100)
+	}
+	for i := 0; i < 100; i++ {
+		m.Observe(x, 3600, 8)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		predictSink = m.Predict(x)
+	}
+}
+
 func BenchmarkModelObserve(b *testing.B) {
 	m := NewModel(DefaultConfig(ELoss))
 	x := make([]float64, FeatureCount)
