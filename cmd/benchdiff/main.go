@@ -50,6 +50,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/cli"
 )
 
 // Measurement is one benchmark's tracked quantities.
@@ -97,61 +99,74 @@ type Baseline struct {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline JSON to compare against (or write with -update)")
-	threshold := flag.Float64("threshold", 25, "maximum allowed slowdown in percent")
-	minNs := flag.Float64("min-ns", 1000, "ns/op noise floor: benchmarks under this on both sides are gated on allocs/op only")
-	update := flag.Bool("update", false, "merge the measured numbers into the baseline instead of comparing")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-baseline file] [-threshold pct] [-update] bench-output-file (- for stdin)")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point. Exit status 2 is a usage error, 1 a
+// failed gate or a runtime failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baselinePath := fs.String("baseline", "BENCH_baseline.json", "baseline JSON to compare against (or write with -update)")
+	threshold := fs.Float64("threshold", 25, "maximum allowed slowdown in percent")
+	minNs := fs.Float64("min-ns", 1000, "ns/op noise floor: benchmarks under this on both sides are gated on allocs/op only")
+	update := fs.Bool("update", false, "merge the measured numbers into the baseline instead of comparing")
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseExit(err)
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: benchdiff [-baseline file] [-threshold pct] [-update] bench-output-file (- for stdin)")
+		return 2
 	}
 	if *threshold <= 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: -threshold must be > 0, got %v\n", *threshold)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchdiff: -threshold must be > 0, got %v\n", *threshold)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 1
 	}
 
-	var in io.Reader
-	if name := flag.Arg(0); name == "-" {
-		in = os.Stdin
-	} else {
+	in := io.Reader(os.Stdin)
+	if name := fs.Arg(0); name != "-" {
 		f, err := os.Open(name)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		in = f
 	}
 	current, err := parseBench(in)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if len(current) == 0 {
-		fatal(fmt.Errorf("no benchmark result lines found in input"))
+		return fail(fmt.Errorf("no benchmark result lines found in input"))
 	}
 
 	if *update {
 		total, err := updateBaseline(*baselinePath, current)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("benchdiff: wrote %d measured of %d benchmarks to %s\n", len(current), total, *baselinePath)
-		return
+		fmt.Fprintf(stdout, "benchdiff: wrote %d measured of %d benchmarks to %s\n", len(current), total, *baselinePath)
+		return 0
 	}
 
 	base, err := readBaseline(*baselinePath)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	report, failures := diff(base.Benchmarks, current, *threshold, *minNs)
-	fmt.Print(report)
+	fmt.Fprint(stdout, report)
 	if failures > 0 {
-		fmt.Printf("\nbenchdiff: FAIL — %d regression(s) beyond %.0f%% (regenerate %s with -update only if the change is intentional)\n",
+		fmt.Fprintf(stdout, "\nbenchdiff: FAIL — %d regression(s) beyond %.0f%% (regenerate %s with -update only if the change is intentional)\n",
 			failures, *threshold, *baselinePath)
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("\nbenchdiff: ok — %d benchmarks within %.0f%% of baseline\n", len(base.Benchmarks), *threshold)
+	fmt.Fprintf(stdout, "\nbenchdiff: ok — %d benchmarks within %.0f%% of baseline\n", len(base.Benchmarks), *threshold)
+	return 0
 }
 
 // benchLine matches a standard testing.B result line: name, iteration
@@ -316,9 +331,4 @@ func updateBaseline(path string, measured map[string]Measurement) (int, error) {
 		return 0, err
 	}
 	return len(base.Benchmarks), os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
 }

@@ -273,3 +273,46 @@ func TestGatedPatternMatchesCI(t *testing.T) {
 		t.Errorf("checked-in note %q, want %q", base.Note, baselineNote)
 	}
 }
+
+// TestRun pins the command's exit statuses: 2 for a usage error, 1 for
+// a failed gate or an unreadable input, 0 for a pass.
+func TestRun(t *testing.T) {
+	dir := t.TempDir()
+	bench := filepath.Join(dir, "bench.out")
+	if err := os.WriteFile(bench, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	slow := filepath.Join(dir, "slow.out")
+	if err := os.WriteFile(slow, []byte(strings.Replace(sampleBench, "1148276 ns/op", "2296552 ns/op", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	baseline := filepath.Join(dir, "baseline.json")
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-baseline", baseline, "-update", bench}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-update exit %d, stderr: %s", code, stderr.String())
+	}
+	cases := []struct {
+		name string
+		args []string
+		code int
+		want string
+	}{
+		{"no-argument", nil, 2, "usage: benchdiff"},
+		{"zero-threshold", []string{"-threshold", "0", bench}, 2, "-threshold must be > 0"},
+		{"missing-baseline", []string{"-baseline", filepath.Join(dir, "none.json"), bench}, 1, "none.json"},
+		{"missing-input", []string{"-baseline", baseline, filepath.Join(dir, "none.out")}, 1, "none.out"},
+		{"regression", []string{"-baseline", baseline, slow}, 1, "benchdiff: FAIL"},
+		{"pass", []string{"-baseline", baseline, bench}, 0, "benchdiff: ok"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("exit %d, want %d (stderr: %s)", code, tc.code, stderr.String())
+			}
+			if out := stdout.String() + stderr.String(); !strings.Contains(out, tc.want) {
+				t.Errorf("output does not mention %q:\n%s", tc.want, out)
+			}
+		})
+	}
+}

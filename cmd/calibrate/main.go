@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -20,36 +21,41 @@ import (
 )
 
 func main() {
-	jobs := flag.Int("jobs", 3000, "jobs per preset workload")
-	seeds := flag.Int("seeds", 3, "seed offsets to sweep per preset")
-	flag.Parse()
-
-	if err := validateFlags(*jobs, *seeds); err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := run(*jobs, *seeds, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "calibrate:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// validateFlags rejects the silent-typo values (mirroring cmd/campaign's
-// negative-flag rejection).
-func validateFlags(jobs, seeds int) error {
-	if jobs <= 0 {
-		return fmt.Errorf("-jobs must be > 0, got %d", jobs)
+// run is the testable entry point. Exit status 2 is a usage error, 1 a
+// runtime failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("calibrate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jobs := fs.Int("jobs", 3000, "jobs per preset workload")
+	seeds := fs.Int("seeds", 3, "seed offsets to sweep per preset")
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseExit(err)
 	}
-	if seeds <= 0 {
-		return fmt.Errorf("-seeds must be > 0, got %d", seeds)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "calibrate: "+format+"\n", a...)
+		fs.Usage()
+		return 2
 	}
-	return nil
+	// Reject the silent-typo values loudly, as cmd/campaign does.
+	if *jobs <= 0 {
+		return usage("-jobs must be > 0, got %d", *jobs)
+	}
+	if *seeds <= 0 {
+		return usage("-seeds must be > 0, got %d", *seeds)
+	}
+	if err := sweep(*jobs, *seeds, stdout); err != nil {
+		fmt.Fprintln(stderr, "calibrate:", err)
+		return 1
+	}
+	return 0
 }
 
-// run sweeps every preset across the seed offsets and prints the
+// sweep runs every preset across the seed offsets and prints the
 // EASY-vs-clairvoyant gain line per cell.
-func run(jobs, seeds int, w io.Writer) error {
+func sweep(jobs, seeds int, w io.Writer) error {
 	for _, name := range workload.PresetNames() {
 		for ds := uint64(0); ds < uint64(seeds); ds++ {
 			cfg, err := workload.Scaled(name, jobs)

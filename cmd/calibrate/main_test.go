@@ -1,31 +1,30 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
 
 func TestValidateFlags(t *testing.T) {
-	if err := validateFlags(3000, 3); err != nil {
-		t.Fatalf("defaults rejected: %v", err)
-	}
-	for _, c := range []struct{ jobs, seeds int }{
-		{0, 3}, {-1, 3}, {3000, 0}, {3000, -2},
+	for _, args := range [][]string{
+		{"-jobs", "0"}, {"-jobs", "-1"}, {"-seeds", "0"}, {"-seeds", "-2"}, {"-flood"},
 	} {
-		if err := validateFlags(c.jobs, c.seeds); err == nil {
-			t.Errorf("validateFlags(%d, %d) accepted", c.jobs, c.seeds)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", args, code, stderr.String())
 		}
 	}
 }
 
 func TestRunPrintsOneLinePerCell(t *testing.T) {
-	var sb strings.Builder
-	if err := run(80, 1, &sb); err != nil {
-		t.Fatal(err)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-jobs", "80", "-seeds", "1"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
 	if len(lines) != 6 {
-		t.Fatalf("got %d lines, want one per preset (6):\n%s", len(lines), sb.String())
+		t.Fatalf("got %d lines, want one per preset (6):\n%s", len(lines), stdout.String())
 	}
 	for _, l := range lines {
 		if !strings.Contains(l, "EASY=") || !strings.Contains(l, "gain=") {

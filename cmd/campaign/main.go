@@ -26,8 +26,9 @@
 // canonical paper grid, the robustness sweep and the nightly CI
 // campaign, and docs/WORKLOADS.md for the workload and clients
 // schema). Flags given alongside -spec
-// override the spec's fields; -validate parses and resolves a spec,
-// prints its shape, and exits without simulating:
+// override the spec's fields; without -spec the flags describe the spec
+// that runs, so both modes share one code path. -validate parses and
+// resolves a spec, prints its shape, and exits without simulating:
 //
 //	campaign -spec specs/paper.yaml             # the paper grid
 //	campaign -spec specs/paper.yaml -jobs 500   # ...at reduced scale
@@ -54,7 +55,9 @@
 //	campaign -jobs 0 -stream -memlimit 4096 -table 6   # full Table-4 sizes, capped
 //
 // Table/figure numbers follow the paper: tables 1, 6, 7, 8 and figures
-// 3, 4, 5. Progress and an ETA are reported on stderr while the grid
+// 3, 4, 5. Table 7 ends with the paper's headline claim: the
+// cross-validated triple's average AVEbsld reduction against EASY and
+// EASY++. Progress and an ETA are reported on stderr while the grid
 // runs; -perf additionally prints the per-workload performance counters
 // (events, Pick calls, sim wall time) every cell records.
 package main
@@ -64,6 +67,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime/debug"
@@ -73,117 +77,118 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/spec"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// exitCode is the process's eventual exit status: cleanup hooks (the
-// trace flush) can fail the run after the tables already printed.
-var exitCode int
-
 func main() {
-	run()
-	runAtExit()
-	os.Exit(exitCode)
-}
-
-func run() {
-	jobs := flag.Int("jobs", 3000, "jobs per preset workload (0 = full Table-4 sizes; slow)")
-	table := flag.Int("table", 0, "print only this table (1, 6, 7 or 8; 0 = all)")
-	figure := flag.Int("figure", 0, "print only this figure (3, 4 or 5; 0 = all)")
-	par := flag.Int("p", 0, "parallel simulations (0 = GOMAXPROCS)")
-	robustness := flag.Bool("robustness", false, "run the disruption sweep instead of the paper tables")
-	seed := flag.Uint64("seed", 1, "base seed: derives per-cell seeds, and the -robustness disruption scripts")
-	out := flag.String("out", "", "append every completed cell to this JSONL result journal")
-	resume := flag.Bool("resume", false, "skip cells already recorded in the -out journal")
-	perf := flag.Bool("perf", false, "print per-workload performance counters to stderr")
-	stream := flag.Bool("stream", false, "run every cell on the bounded-memory streaming engine (same tables, O(live jobs) per cell)")
-	memLimit := flag.Int("memlimit", 0, "soft memory cap in MiB for the whole process (0 = none); pairs with -stream for big grids on small machines")
-	specPath := flag.String("spec", "", "run the experiment described by this spec file (see specs/ and docs/WORKLOADS.md); other flags override its fields")
-	validate := flag.Bool("validate", false, "with -spec: parse and resolve the spec, print its shape, and exit without simulating")
-	clustersFlag := flag.String("clusters", "", "federated platform: comma-separated NAME=PROCS[xSPEED] entries (e.g. \"100,64x1.5,slow=32x0.5\"); the campaign grids over -routing policies and renders the federated table")
-	routingFlag := flag.String("routing", "", "comma-separated routing policies in front of -clusters: "+sched.RouterNames+" (default round-robin)")
-	traceFile := flag.String("trace", "", "append the structured decision trace (JSONL; summarize with tracestat) to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while the grid runs")
-	flag.Parse()
-
-	// Negative values used to be silently mapped to the defaults; they
-	// are almost certainly typos, so reject them loudly.
-	if *jobs < 0 {
-		usageError("-jobs must be >= 0 (0 = full Table-4 sizes), got %d", *jobs)
-	}
-	if *par < 0 {
-		usageError("-p must be >= 0 (0 = GOMAXPROCS), got %d", *par)
-	}
-	if *resume && *out == "" && *specPath == "" {
-		usageError("-resume requires -out (the journal to resume from)")
-	}
-	if *validate && *specPath == "" {
-		usageError("-validate requires -spec")
-	}
-	if *memLimit < 0 {
-		usageError("-memlimit must be >= 0 MiB, got %d", *memLimit)
-	}
-	if msg := traceConflict(*traceFile, *cpuProfile, *memProfile); msg != "" {
-		usageError("%s", msg)
-	}
-	if *routingFlag != "" && *clustersFlag == "" && *specPath == "" {
-		usageError("-routing needs -clusters (a single-machine grid has nothing to route)")
-	}
-	var clusters []platform.Cluster
-	var routings []string
-	if *clustersFlag != "" {
-		var err error
-		if clusters, err = platform.ParseClusters(*clustersFlag); err != nil {
-			usageError("%v", err)
-		}
-	}
-	if *routingFlag != "" {
-		routings = parseRoutings(*routingFlag)
-	}
-	if *clustersFlag != "" {
-		if *robustness {
-			usageError("-clusters conflicts with -robustness (the disruption sweep is single-machine)")
-		}
-		if *table != 0 || *figure != 0 {
-			usageError("-table/-figure do not apply to a federated campaign (it renders the federated table)")
-		}
-	}
-	if *memLimit > 0 {
-		// A soft cap: the runtime GCs harder as the heap approaches it
-		// instead of overshooting into the OOM killer. The streaming
-		// engine is what makes a tight cap feasible — preloaded grids
-		// hold O(trace) per in-flight cell.
-		debug.SetMemoryLimit(int64(*memLimit) << 20)
-	}
-	startProfiling(*cpuProfile, *memProfile, *pprofAddr)
-
 	// Ctrl-C (or SIGTERM) cancels the grid gracefully: in-flight cells
 	// finish and are journaled, then the run reports how to resume.
 	// After the first signal the handler is unregistered, so a second
 	// Ctrl-C force-quits via the default disposition instead of being
 	// swallowed while in-flight cells drain.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	go func() {
 		<-ctx.Done()
 		stop()
 	}()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *specPath != "" {
+// run is the testable entry point: parse and validate the flags, build
+// the spec they describe (or load -spec and lay the flags over it), and
+// run that spec. Exit status 2 is a usage error, 1 a runtime failure.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jobs := fs.Int("jobs", 3000, "jobs per preset workload (0 = full Table-4 sizes; slow)")
+	table := fs.Int("table", 0, "print only this table (1, 6, 7 or 8; 0 = all)")
+	figure := fs.Int("figure", 0, "print only this figure (3, 4 or 5; 0 = all)")
+	par := fs.Int("p", 0, "parallel simulations (0 = GOMAXPROCS)")
+	robustness := fs.Bool("robustness", false, "run the disruption sweep instead of the paper tables")
+	seed := fs.Uint64("seed", 1, "base seed: derives per-cell seeds, and the -robustness disruption scripts")
+	out := fs.String("out", "", "append every completed cell to this JSONL result journal")
+	resume := fs.Bool("resume", false, "skip cells already recorded in the -out journal")
+	perf := fs.Bool("perf", false, "print per-workload performance counters to stderr")
+	stream := fs.Bool("stream", false, "run every cell on the bounded-memory streaming engine (same tables, O(live jobs) per cell)")
+	memLimit := fs.Int("memlimit", 0, "soft memory cap in MiB for the whole process (0 = none); pairs with -stream for big grids on small machines")
+	specPath := fs.String("spec", "", "run the experiment described by this spec file (see specs/ and docs/WORKLOADS.md); other flags override its fields")
+	validate := fs.Bool("validate", false, "with -spec: parse and resolve the spec, print its shape, and exit without simulating")
+	clustersFlag := fs.String("clusters", "", "federated platform: comma-separated NAME=PROCS[xSPEED] entries (e.g. \"100,64x1.5,slow=32x0.5\"); the campaign grids over -routing policies and renders the federated table")
+	routingFlag := fs.String("routing", "", "comma-separated routing policies in front of -clusters: "+sched.RouterNames+" (default round-robin)")
+	traceFile := fs.String("trace", "", "append the structured decision trace (JSONL; summarize with tracestat) to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while the grid runs")
+	if err := fs.Parse(args); err != nil {
+		return cli.ParseExit(err)
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "campaign: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "campaign:", err)
+		return 1
+	}
+
+	// Negative values used to be silently mapped to the defaults; they
+	// are almost certainly typos, so reject them loudly.
+	if *jobs < 0 {
+		return usage("-jobs must be >= 0 (0 = full Table-4 sizes), got %d", *jobs)
+	}
+	if *par < 0 {
+		return usage("-p must be >= 0 (0 = GOMAXPROCS), got %d", *par)
+	}
+	if *validate && *specPath == "" {
+		return usage("-validate requires -spec")
+	}
+	if *memLimit < 0 {
+		return usage("-memlimit must be >= 0 MiB, got %d", *memLimit)
+	}
+	if msg := cli.TraceConflict(*traceFile, *cpuProfile, *memProfile); msg != "" {
+		return usage("%s", msg)
+	}
+	var err error
+	var clusters []platform.Cluster
+	if *clustersFlag != "" {
+		if clusters, err = platform.ParseClusters(*clustersFlag); err != nil {
+			return usage("%v", err)
+		}
+		if *robustness {
+			return usage("-clusters conflicts with -robustness (the disruption sweep is single-machine)")
+		}
+	}
+	var routings []string
+	if *routingFlag != "" {
+		if routings, err = parseRoutings(*routingFlag); err != nil {
+			return usage("%v", err)
+		}
+	}
+
+	var s *spec.Spec
+	if *specPath == "" {
+		kind := "campaign"
+		if *robustness {
+			kind = "robustness"
+		}
+		s = &spec.Spec{Kind: kind, Seed: *seed, Repeats: 1, Jobs: *jobs, Parallelism: *par, Stream: *stream,
+			Clusters: clusters, Routings: routings, Trace: spec.Trace{File: *traceFile},
+			Output: spec.Output{Journal: *out, Resume: *resume, Perf: *perf, Tables: selection(*table), Figures: selection(*figure)}}
+	} else {
 		// Flags the user actually passed become the outermost override
 		// layer: flags > spec > include.
 		var ov spec.Overrides
-		tablesSet, figuresSet := false, false
-		flag.Visit(func(f *flag.Flag) {
+		tablesSet, figuresSet, robustnessSet := false, false, false
+		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "jobs":
 				ov.Jobs = jobs
@@ -200,14 +205,10 @@ func run() {
 			case "stream":
 				ov.Stream = stream
 			case "table":
-				if *table != 0 {
-					ov.Tables = []int{*table}
-				}
+				ov.Tables = selection(*table)
 				tablesSet = true
 			case "figure":
-				if *figure != 0 {
-					ov.Figures = []int{*figure}
-				}
+				ov.Figures = selection(*figure)
 				figuresSet = true
 			case "clusters":
 				ov.Clusters = clusters
@@ -216,147 +217,143 @@ func run() {
 			case "trace":
 				ov.Trace = traceFile
 			case "robustness":
-				usageError("-robustness conflicts with -spec (the spec's kind decides the grid)")
+				robustnessSet = true
 			}
 		})
-		runSpec(ctx, *specPath, *validate, ov, tablesSet, figuresSet)
-		return
-	}
-
-	// -perf implies stage profiling: the summary it prints is where the
-	// per-stage latency histograms render.
-	tracer := openTrace(*traceFile)
-
-	if *robustness {
-		r := &campaign.Robustness{Seed: *seed, Parallelism: *par, Stream: *stream,
-			Tracer: tracer, Profile: *perf}
-		runRobustnessGrids(ctx, []*campaign.Robustness{r}, *jobs, nil, *out, *resume, *perf)
-		return
-	}
-
-	if len(clusters) > 0 {
-		if len(routings) == 0 {
-			routings = []string{"round-robin"}
+		if robustnessSet {
+			return usage("-robustness conflicts with -spec (the spec's kind decides the grid)")
 		}
-		feds := make([]campaign.Federation, len(routings))
-		for i, r := range routings {
-			feds[i] = campaign.Federation{Clusters: clusters, Routing: r}
+		if s, err = spec.Load(*specPath); err != nil {
+			return fail(err)
 		}
-		fc := &campaign.FederatedCampaign{Federations: feds, Seed: *seed, Parallelism: *par, Stream: *stream,
-			Tracer: tracer, Profile: *perf}
-		runFederatedGrid(ctx, fc, nil, *jobs, *out, *resume, *perf)
-		return
+		s.Apply(ov)
+		// -table/-figure are selections, not additions: naming one
+		// suppresses the spec's other axis, exactly as without -spec.
+		if tablesSet && !figuresSet {
+			s.Output.Figures = nil
+		}
+		if figuresSet && !tablesSet {
+			s.Output.Tables = nil
+		}
 	}
 
-	var tables, figures []int
-	if *table != 0 {
-		tables = []int{*table}
-	}
-	if *figure != 0 {
-		figures = []int{*figure}
-	}
-	if *table == 0 && *figure == 0 {
-		tables, figures = allTables, allFigures
-	}
-	c := &campaign.Campaign{Seed: *seed, Parallelism: *par, Stream: *stream,
-		Tracer: tracer, Profile: *perf}
-	runCampaignGrid(ctx, c, nil, *jobs, tables, figures, *out, *resume, *perf)
-}
-
-var (
-	allTables  = []int{1, 6, 7, 8}
-	allFigures = []int{3, 4, 5}
-)
-
-// runSpec loads a spec, applies the flag overrides, and dispatches to
-// the kind's grid runner — or just prints the resolved shape under
-// -validate.
-func runSpec(ctx context.Context, path string, validateOnly bool, ov spec.Overrides, tablesSet, figuresSet bool) {
-	s, err := spec.Load(path)
-	if err != nil {
-		fatal(err)
-	}
-	s.Apply(ov)
 	if s.Output.Resume && s.Output.Journal == "" {
-		usageError("resume needs a journal: set output.journal in the spec or pass -out")
+		return usage("-resume needs a journal: pass -out (or set output.journal in the spec)")
 	}
 	if len(s.Routings) > 0 && !s.Federated() {
-		usageError("routing needs clusters: set clusters in the spec or pass -clusters")
+		return usage("-routing needs -clusters (or clusters in the spec): a single-machine grid has nothing to route")
 	}
-	// -table/-figure are selections, not additions: naming one
-	// suppresses the spec's other axis, exactly as in flag-only mode.
-	if tablesSet && !figuresSet {
-		s.Output.Figures = nil
+	if *validate {
+		if err := printSpecShape(stdout, s); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
-	if figuresSet && !tablesSet {
-		s.Output.Tables = nil
-	}
-
-	if validateOnly {
-		printSpecShape(s)
-		return
+	if s.Kind != "robustness" && s.Federated() && (len(s.Output.Tables) > 0 || len(s.Output.Figures) > 0) {
+		return usage("-table/-figure do not apply to a federated campaign (it renders the federated table)")
 	}
 
+	if *memLimit > 0 {
+		// A soft cap: the runtime GCs harder as the heap approaches it
+		// instead of overshooting into the OOM killer. The streaming
+		// engine is what makes a tight cap feasible — preloaded grids
+		// hold O(trace) per in-flight cell.
+		debug.SetMemoryLimit(int64(*memLimit) << 20)
+	}
+	ob, err := cli.Start("campaign", stderr, *cpuProfile, *memProfile, *pprofAddr, s.Trace.File)
+	if err != nil {
+		return fail(err)
+	}
+	err = runSpec(ctx, s, ob.Tracer(), stdout, stderr)
+	// The trace flush can fail the run after the tables have printed.
+	if cerr := ob.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fail(err)
+	}
+	return 0
+}
+
+// selection turns a -table or -figure value into a selection list (0 =
+// none named).
+func selection(n int) []int {
+	if n == 0 {
+		return nil
+	}
+	return []int{n}
+}
+
+// parseRoutings splits and validates the -routing flag.
+func parseRoutings(s string) ([]string, error) {
+	var out []string
+	seen := map[string]bool{}
+	for _, name := range strings.Split(s, ",") {
+		name = strings.TrimSpace(name)
+		if _, err := sched.NewRouter(name); err != nil {
+			return nil, err
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("-routing lists %q twice", name)
+		}
+		seen[name] = true
+		out = append(out, name)
+	}
+	return out, nil
+}
+
+// runSpec generates the spec's workloads and runs the grid its kind and
+// platform select: the disruption sweep, the federated campaign, or the
+// paper-table campaign.
+func runSpec(ctx context.Context, s *spec.Spec, tracer obs.Tracer, stdout, stderr io.Writer) error {
 	ws, err := s.GenerateWorkloads()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	o := s.Output
-	tracer := openTrace(s.Trace.File)
-	profile := o.Perf || s.Trace.Profile
-	switch s.Kind {
-	case "robustness":
+	// -perf implies stage profiling: the summary it prints is where the
+	// per-stage latency histograms render.
+	profile := s.Output.Perf || s.Trace.Profile
+	switch {
+	case s.Kind == "robustness":
 		grids := make([]*campaign.Robustness, s.Repeats)
 		for r := range grids {
 			grids[r] = s.Robustness(ws, r)
-			grids[r].Tracer = tracer
-			grids[r].Profile = profile
+			grids[r].Tracer, grids[r].Profile = tracer, profile
 		}
-		runRobustnessGrids(ctx, grids, -1, ws, o.Journal, o.Resume, o.Perf)
+		return runRobustnessGrids(ctx, grids, s.Output, stdout, stderr)
+	case s.Federated():
+		fc := s.FederatedCampaign(ws)
+		fc.Tracer, fc.Profile = tracer, profile
+		return runFederatedGrid(ctx, fc, s.Output, stdout, stderr)
 	default:
-		if s.Federated() {
-			if len(o.Tables) > 0 || len(o.Figures) > 0 {
-				usageError("tables/figures do not apply to a federated campaign (it renders the federated table)")
-			}
-			fc := s.FederatedCampaign(ws)
-			fc.Tracer = tracer
-			fc.Profile = profile
-			runFederatedGrid(ctx, fc, ws, s.Jobs, o.Journal, o.Resume, o.Perf)
-			return
-		}
-		tables, figures := o.Tables, o.Figures
-		if len(tables) == 0 && len(figures) == 0 {
-			tables, figures = allTables, allFigures
-		}
 		c := s.Campaign(ws)
-		c.Tracer = tracer
-		c.Profile = profile
-		runCampaignGrid(ctx, c, ws, s.Jobs, tables, figures, o.Journal, o.Resume, o.Perf)
+		c.Tracer, c.Profile = tracer, profile
+		return runCampaignGrid(ctx, c, s.Jobs, s.Output, stdout, stderr)
 	}
 }
 
 // printSpecShape is the -validate dry run: the spec resolved and
 // summarized, with nothing simulated.
-func printSpecShape(s *spec.Spec) {
+func printSpecShape(stdout io.Writer, s *spec.Spec) error {
 	cfgs, err := s.WorkloadConfigs()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	names := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
 		names[i] = fmt.Sprintf("%s(%d jobs)", cfg.Name, cfg.Jobs)
 	}
-	fmt.Printf("spec %s: OK\n", s.Path)
-	fmt.Printf("  kind        %s\n", s.Kind)
-	fmt.Printf("  seed        %d\n", s.Seed)
+	fmt.Fprintf(stdout, "spec %s: OK\n", s.Path)
+	fmt.Fprintf(stdout, "  kind        %s\n", s.Kind)
+	fmt.Fprintf(stdout, "  seed        %d\n", s.Seed)
 	if s.Stream {
-		fmt.Printf("  stream      true\n")
+		fmt.Fprintf(stdout, "  stream      true\n")
 	}
-	fmt.Printf("  workloads   %d: %s\n", len(cfgs), strings.Join(names, ", "))
-	fmt.Printf("  triples     %d\n", s.TripleCount())
+	fmt.Fprintf(stdout, "  workloads   %d: %s\n", len(cfgs), strings.Join(names, ", "))
+	fmt.Fprintf(stdout, "  triples     %d\n", s.TripleCount())
 	if s.Kind == "robustness" {
-		fmt.Printf("  scenarios   %d\n", s.ScenarioCount())
-		fmt.Printf("  repeats     %d\n", s.Repeats)
+		fmt.Fprintf(stdout, "  scenarios   %d\n", s.ScenarioCount())
+		fmt.Fprintf(stdout, "  repeats     %d\n", s.Repeats)
 	}
 	nfed := 1
 	if s.Federated() {
@@ -370,174 +367,146 @@ func printSpecShape(s *spec.Spec) {
 		for i, f := range feds {
 			policies[i] = f.Routing
 		}
-		fmt.Printf("  clusters    %d (%d procs): %s\n", len(s.Clusters), platform.ClustersTotal(s.Clusters), strings.Join(entries, ", "))
-		fmt.Printf("  routing     %s\n", strings.Join(policies, ", "))
+		fmt.Fprintf(stdout, "  clusters    %d (%d procs): %s\n", len(s.Clusters), platform.ClustersTotal(s.Clusters), strings.Join(entries, ", "))
+		fmt.Fprintf(stdout, "  routing     %s\n", strings.Join(policies, ", "))
 	}
-	fmt.Printf("  grid        %d cells\n", len(cfgs)*nfed*s.TripleCount()*s.ScenarioCount()*s.Repeats)
+	fmt.Fprintf(stdout, "  grid        %d cells\n", len(cfgs)*nfed*s.TripleCount()*s.ScenarioCount()*s.Repeats)
 	if s.Output.Journal != "" {
 		mode := ""
 		if s.Output.Resume {
 			mode = " (resume)"
 		}
-		fmt.Printf("  journal     %s%s\n", s.Output.Journal, mode)
+		fmt.Fprintf(stdout, "  journal     %s%s\n", s.Output.Journal, mode)
 	}
 	if s.Trace.File != "" {
 		mode := ""
 		if s.Trace.Profile {
 			mode = " (profiled)"
 		}
-		fmt.Printf("  trace       %s%s\n", s.Trace.File, mode)
+		fmt.Fprintf(stdout, "  trace       %s%s\n", s.Trace.File, mode)
 	}
+	return nil
 }
 
-// runCampaignGrid runs the paper-table campaign (generating the default
-// workloads when ws is nil) and renders the selected tables and
-// figures. jobs is the preset scaling, used for default workloads and
-// for the Curie prediction series of Table 8 / Figures 4-5.
-func runCampaignGrid(ctx context.Context, c *campaign.Campaign, ws []*trace.Workload, jobs int, tables, figures []int, out string, resume, perf bool) {
-	needGrid := hasAny(tables, 1, 6, 7) || hasAny(figures, 3)
+// runCampaignGrid runs the paper-table campaign and renders the
+// selected tables and figures (all of them when none is selected). jobs
+// is the preset scaling of the Curie prediction series behind Table 8
+// and Figures 4-5.
+func runCampaignGrid(ctx context.Context, c *campaign.Campaign, jobs int, o spec.Output, stdout, stderr io.Writer) error {
+	tables, figures := o.Tables, o.Figures
+	if len(tables) == 0 && len(figures) == 0 {
+		tables, figures = []int{1, 6, 7, 8}, []int{3, 4, 5}
+	}
 	var results []campaign.RunResult
-	if needGrid {
-		if ws == nil {
-			var err error
-			ws, err = campaign.DefaultWorkloads(jobs)
-			if err != nil {
-				fatal(err)
-			}
+	if hasAny(tables, 1, 6, 7) || hasAny(figures, 3) {
+		journal, done, err := openJournal(o.Journal, o.Resume, stderr)
+		if err != nil {
+			return err
 		}
-		c.Workloads = ws
-		c.Progress = progressReporter("campaign")
-		journal, done := openJournal(out, resume)
-		c.Journal = journal
-		c.Resume = done
+		defer closeJournal(journal, stderr)
+		c.Journal, c.Resume = journal, done
+		c.Progress = progressReporter(stderr, "campaign")
 		ntr := len(c.Triples)
 		if ntr == 0 {
 			ntr = len(core.CampaignTriples())
 		}
-		fmt.Fprintf(os.Stderr, "campaign: running %d simulations (%d workloads x %d triples)...\n", len(ws)*ntr, len(ws), ntr)
-		var err error
+		fmt.Fprintf(stderr, "campaign: running %d simulations (%d workloads x %d triples)...\n", len(c.Workloads)*ntr, len(c.Workloads), ntr)
 		results, err = c.Run(ctx)
-		closeJournal(journal)
 		if err != nil {
-			gridFailed(err, len(results), out)
+			return gridFailed(err, len(results), o.Journal)
 		}
-		if perf {
-			fmt.Fprintln(os.Stderr, report.PerfSummary(results))
+		if o.Perf {
+			fmt.Fprintln(stderr, report.PerfSummary(results))
 		}
 	}
 
 	if hasAny(tables, 1) {
-		fmt.Println(report.Table1(results))
+		fmt.Fprintln(stdout, report.Table1(results))
 	}
 	if hasAny(tables, 6) {
-		fmt.Println(report.Table6(results))
+		fmt.Fprintln(stdout, report.Table6(results))
 	}
 	if hasAny(tables, 7) {
 		cv, err := campaign.LeaveOneOut(results)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(report.Table7(cv, results))
+		fmt.Fprintln(stdout, report.Table7(cv, results))
 	}
 	if hasAny(figures, 3) {
-		fmt.Println(report.Figure3(results, "SDSC-BLUE", "Metacentrum"))
+		fmt.Fprintln(stdout, report.Figure3(results, "SDSC-BLUE", "Metacentrum"))
 	}
 	// Multi-client workloads (a spec with clients: blocks) get their
 	// per-client decomposition next to the global tables; single-
 	// population grids render nothing extra.
 	if t := report.ClientTable(results); t != "" {
-		fmt.Println(t)
+		fmt.Fprintln(stdout, t)
 	}
 
 	if hasAny(tables, 8) || hasAny(figures, 4, 5) {
 		cfg, err := workload.Scaled("Curie", jobs)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		w, err := workload.Generate(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		series, err := report.AnalyzePredictions(w)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if hasAny(tables, 8) {
-			fmt.Println(report.Table8(series))
+			fmt.Fprintln(stdout, report.Table8(series))
 		}
 		if hasAny(figures, 4) {
-			fmt.Println(report.Figure4(series))
+			fmt.Fprintln(stdout, report.Figure4(series))
 		}
 		if hasAny(figures, 5) {
-			fmt.Println(report.Figure5(series))
+			fmt.Fprintln(stdout, report.Figure5(series))
 		}
 	}
-}
-
-// parseRoutings splits and validates the -routing flag.
-func parseRoutings(s string) []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if _, err := sched.NewRouter(name); err != nil {
-			usageError("%v", err)
-		}
-		if seen[name] {
-			usageError("-routing lists %q twice", name)
-		}
-		seen[name] = true
-		out = append(out, name)
-	}
-	return out
+	return nil
 }
 
 // runFederatedGrid runs the federated campaign — workloads x routing
 // policies x triples on a multi-cluster platform — and renders the
 // federated table with its per-cluster columns.
-func runFederatedGrid(ctx context.Context, fc *campaign.FederatedCampaign, ws []*trace.Workload, jobs int, out string, resume, perf bool) {
-	if ws == nil {
-		var err error
-		ws, err = campaign.DefaultWorkloads(jobs)
-		if err != nil {
-			fatal(err)
-		}
+func runFederatedGrid(ctx context.Context, fc *campaign.FederatedCampaign, o spec.Output, stdout, stderr io.Writer) error {
+	journal, done, err := openJournal(o.Journal, o.Resume, stderr)
+	if err != nil {
+		return err
 	}
-	fc.Workloads = ws
-	fc.Progress = progressReporter("federated")
-	journal, done := openJournal(out, resume)
-	fc.Journal = journal
-	fc.Resume = done
+	defer closeJournal(journal, stderr)
+	fc.Journal, fc.Resume = journal, done
+	fc.Progress = progressReporter(stderr, "federated")
 	ntr := len(fc.Triples)
 	if ntr == 0 {
 		ntr = len(core.CampaignTriples())
 	}
-	fmt.Fprintf(os.Stderr, "campaign: running %d federated simulations (%d workloads x %d federations x %d triples)...\n",
-		len(ws)*len(fc.Federations)*ntr, len(ws), len(fc.Federations), ntr)
+	nw := len(fc.Workloads)
+	fmt.Fprintf(stderr, "campaign: running %d federated simulations (%d workloads x %d federations x %d triples)...\n",
+		nw*len(fc.Federations)*ntr, nw, len(fc.Federations), ntr)
 	results, err := fc.Run(ctx)
-	closeJournal(journal)
 	if err != nil {
-		gridFailed(err, len(results), out)
+		return gridFailed(err, len(results), o.Journal)
 	}
-	if perf {
-		fmt.Fprintln(os.Stderr, report.FederatedPerfSummary(results))
+	if o.Perf {
+		fmt.Fprintln(stderr, report.FederatedPerfSummary(results))
 	}
-	fmt.Println(report.FederatedTable(results))
+	fmt.Fprintln(stdout, report.FederatedTable(results))
+	return nil
 }
 
 // runRobustnessGrids runs one disruption sweep per repeat (sharing the
-// journal), cell-averages them, and renders the robustness table. When
-// ws is nil the default preset workloads are generated at the given
-// jobs scaling.
-func runRobustnessGrids(ctx context.Context, grids []*campaign.Robustness, jobs int, ws []*trace.Workload, out string, resume, perf bool) {
-	if ws == nil {
-		var err error
-		ws, err = campaign.DefaultWorkloads(jobs)
-		if err != nil {
-			fatal(err)
-		}
+// journal), cell-averages them, and renders the robustness table.
+func runRobustnessGrids(ctx context.Context, grids []*campaign.Robustness, o spec.Output, stdout, stderr io.Writer) error {
+	journal, done, err := openJournal(o.Journal, o.Resume, stderr)
+	if err != nil {
+		return err
 	}
-	journal, done := openJournal(out, resume)
+	defer closeJournal(journal, stderr)
+	nw := len(grids[0].Workloads)
 	triples := len(grids[0].Triples)
 	if triples == 0 {
 		triples = len(campaign.DefaultRobustnessTriples())
@@ -546,36 +515,32 @@ func runRobustnessGrids(ctx context.Context, grids []*campaign.Robustness, jobs 
 	if cols == 0 {
 		cols = len(scenario.Intensities)
 	}
-	total := len(ws) * triples * cols * len(grids)
-	fmt.Fprintf(os.Stderr, "campaign: running %d disrupted simulations (%d workloads x %d triples x %d scenarios x %d repeats)...\n",
-		total, len(ws), triples, cols, len(grids))
+	fmt.Fprintf(stderr, "campaign: running %d disrupted simulations (%d workloads x %d triples x %d scenarios x %d repeats)...\n",
+		nw*triples*cols*len(grids), nw, triples, cols, len(grids))
 
 	var runs [][]campaign.RobustnessResult
 	var flat []campaign.RunResult
 	for i, r := range grids {
-		r.Workloads = ws
-		r.Journal = journal
-		r.Resume = done
-		r.Progress = progressReporter(fmt.Sprintf("robustness %d/%d", i+1, len(grids)))
+		r.Journal, r.Resume = journal, done
+		r.Progress = progressReporter(stderr, fmt.Sprintf("robustness %d/%d", i+1, len(grids)))
 		results, err := r.Run(ctx)
 		if err != nil {
-			closeJournal(journal)
-			gridFailed(err, len(results), out)
+			return gridFailed(err, len(results), o.Journal)
 		}
 		runs = append(runs, results)
 		for _, res := range results {
 			flat = append(flat, res.RunResult)
 		}
 	}
-	closeJournal(journal)
-	if perf {
-		fmt.Fprintln(os.Stderr, report.PerfSummary(flat))
+	if o.Perf {
+		fmt.Fprintln(stderr, report.PerfSummary(flat))
 	}
 	merged, err := campaign.AverageRobustness(runs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(report.RobustnessTable(merged))
+	fmt.Fprintln(stdout, report.RobustnessTable(merged))
+	return nil
 }
 
 // hasAny reports whether the selection contains any of the wanted ids.
@@ -592,9 +557,9 @@ func hasAny(selected []int, wanted ...int) bool {
 
 // openJournal opens the -out journal (if any) and loads the completed
 // cells of a previous run when -resume is set.
-func openJournal(out string, resume bool) (*campaign.Journal, map[string]campaign.CellRecord) {
+func openJournal(out string, resume bool, stderr io.Writer) (*campaign.Journal, map[string]campaign.CellRecord, error) {
 	if out == "" {
-		return nil, nil
+		return nil, nil, nil
 	}
 	var done map[string]campaign.CellRecord
 	if resume {
@@ -605,60 +570,52 @@ func openJournal(out string, resume bool) (*campaign.Journal, map[string]campaig
 		case errors.Is(err, os.ErrNotExist):
 			// First run of an always-resume wrapper: nothing journaled
 			// yet is a fresh start, not a failure.
-			fmt.Fprintf(os.Stderr, "campaign: resume: no journal at %s yet, starting fresh\n", out)
+			fmt.Fprintf(stderr, "campaign: resume: no journal at %s yet, starting fresh\n", out)
 		case err != nil:
-			fatal(err)
+			return nil, nil, err
 		default:
 			msg := fmt.Sprintf("campaign: resume: %d journaled cells loaded from %s", len(done), out)
 			if dropped {
 				msg += " (dropped a truncated final line)"
 			}
-			fmt.Fprintln(os.Stderr, msg)
+			fmt.Fprintln(stderr, msg)
 		}
 	}
 	j, err := campaign.OpenJournal(out)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
-	return j, done
+	return j, done, nil
 }
 
-func closeJournal(j *campaign.Journal) {
+func closeJournal(j *campaign.Journal, stderr io.Writer) {
 	if j == nil {
 		return
 	}
 	if err := j.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "campaign: journal:", err)
+		fmt.Fprintln(stderr, "campaign: journal:", err)
 	}
 }
 
-// gridFailed reports a cancelled or partially-failed grid and exits.
-// Completed cells are already in the journal (when -out is set), so the
-// message points at -resume.
-func gridFailed(err error, completed int, out string) {
+// gridFailed describes a canceled or partially failed grid. Completed
+// cells are already in the journal (when -out is set), so the message
+// points at -resume.
+func gridFailed(err error, completed int, out string) error {
 	if errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "campaign: interrupted after %d completed cells\n", completed)
+		err = fmt.Errorf("interrupted after %d completed cells", completed)
 	} else {
-		fmt.Fprintf(os.Stderr, "campaign: %v (%d cells completed)\n", err, completed)
+		err = fmt.Errorf("%v (%d cells completed)", err, completed)
 	}
 	if out != "" {
-		fmt.Fprintf(os.Stderr, "campaign: completed cells are journaled in %s; rerun with -resume to continue\n", out)
+		err = fmt.Errorf("%w\ncampaign: completed cells are journaled in %s; rerun with -resume to continue", err, out)
 	}
-	runAtExit()
-	os.Exit(1)
-}
-
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
-	flag.Usage()
-	runAtExit()
-	os.Exit(2)
+	return err
 }
 
 // progressReporter returns a goroutine-safe Progress callback that
 // writes throttled progress/ETA lines to stderr — minutes-long grids
 // should not be silent until the final tables print.
-func progressReporter(label string) func(done, total int) {
+func progressReporter(stderr io.Writer, label string) func(done, total int) {
 	var mu sync.Mutex
 	start := time.Now()
 	lastPrint := start
@@ -677,12 +634,6 @@ func progressReporter(label string) func(done, total int) {
 			eta := time.Duration(float64(elapsed) * float64(total-done) / float64(done))
 			msg += fmt.Sprintf(" eta %s", eta.Round(time.Second))
 		}
-		fmt.Fprintln(os.Stderr, msg)
+		fmt.Fprintln(stderr, msg)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "campaign:", err)
-	runAtExit()
-	os.Exit(1)
 }

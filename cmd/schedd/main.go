@@ -45,8 +45,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/schedd"
 	"repro/internal/spec"
@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", "localhost:8080", "HTTP listen address (server mode)")
 	specPath := fs.String("spec", "", "read the server configuration from this spec file's serve: block")
 	maxProcs := fs.Int64("maxprocs", 0, "machine size (server mode; required unless -spec)")
-	tripleName := fs.String("triple", "easy++", "named triple: easy | easy++ | best | clairvoyant | clairvoyant-sjbf | conservative")
+	tripleName := fs.String("triple", "easy++", "named triple: "+core.TripleNames)
 	scale := fs.Float64("scale", 0, "time mode: 0 = virtual time (clients state instants), >0 = scaled wall time (virtual seconds per wall second)")
 	clientsFlag := fs.String("clients", "", "comma-separated client names for the per-client metric split")
 	workloadName := fs.String("workload", "live", "run name tagging metrics and trace events")
@@ -124,8 +124,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return usage("-%s drives a replay client; it needs -connect", f)
 		}
 	}
-	if *traceFile == "-" || *traceFile == "/dev/stdout" {
-		return usage("-trace cannot write to stdout (the final summary owns it); give it a file path")
+	if msg := cli.TraceConflict(*traceFile, "", ""); msg != "" {
+		return usage("%s", msg)
 	}
 
 	opts := schedd.Options{Workload: *workloadName, MaxProcs: *maxProcs, Scale: *scale}
@@ -154,7 +154,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if opts.MaxProcs <= 0 {
 			return usage("-maxprocs must be positive (or pass -spec with a serve: block)")
 		}
-		tr, err := parseTriple(*tripleName)
+		tr, err := core.TripleByName(*tripleName)
 		if err != nil {
 			return usage("%v", err)
 		}
@@ -163,39 +163,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	return runServer(ctx, *addr, opts, *traceFile, stdout, stderr)
 }
 
-func parseTriple(name string) (core.Triple, error) {
-	switch strings.ToLower(name) {
-	case "easy":
-		return core.EASY(), nil
-	case "easy++":
-		return core.EASYPlusPlus(), nil
-	case "best":
-		return core.PaperBest(), nil
-	case "clairvoyant":
-		return core.ClairvoyantEASY(), nil
-	case "clairvoyant-sjbf":
-		return core.ClairvoyantSJBF(), nil
-	case "conservative":
-		return core.ConservativeBF(), nil
-	}
-	return core.Triple{}, fmt.Errorf("unknown triple %q (have easy, easy++, best, clairvoyant, clairvoyant-sjbf, conservative)", name)
-}
-
 // runServer opens the socket, serves until a signal, a server error or
 // a wire-side /v1/shutdown, then drains the daemon and prints the final
 // streaming summary.
-func runServer(ctx context.Context, addr string, opts schedd.Options, traceFile string, stdout, stderr io.Writer) int {
-	var trace *obs.JSONL
-	if traceFile != "" {
-		t, err := obs.OpenJSONL(traceFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "schedd:", err)
-			return 1
-		}
-		trace = t
-		opts.Tracer = t
-		fmt.Fprintf(stderr, "schedd: tracing decisions to %s\n", traceFile)
+func runServer(ctx context.Context, addr string, opts schedd.Options, traceFile string, stdout, stderr io.Writer) (code int) {
+	ob, err := cli.Start("schedd", stderr, "", "", "", traceFile)
+	if err != nil {
+		fmt.Fprintln(stderr, "schedd:", err)
+		return 1
 	}
+	// A trace that lost events fails the run, even after the summary.
+	defer func() {
+		if err := ob.Close(); err != nil {
+			fmt.Fprintln(stderr, "schedd: trace:", err)
+			code = 1
+		}
+	}()
+	opts.Tracer = ob.Tracer()
 	d, err := schedd.New(opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "schedd:", err)
@@ -212,7 +196,6 @@ func runServer(ctx context.Context, addr string, opts schedd.Options, traceFile 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	code := 0
 	select {
 	case <-ctx.Done():
 		fmt.Fprintln(stderr, "schedd: signal received, draining")
@@ -240,12 +223,6 @@ func runServer(ctx context.Context, addr string, opts schedd.Options, traceFile 
 	report.StreamSummary(stdout, report.CollectStreamRun(opts.Workload, opts.MaxProcs, opts.Triple.Name(), res.Makespan, res.Corrections, d.Overall()))
 	if len(opts.Clients) > 0 {
 		report.ClientSplit(stdout, d.PerClient())
-	}
-	if trace != nil {
-		if err := trace.Close(); err != nil {
-			fmt.Fprintln(stderr, "schedd: trace:", err)
-			return 1
-		}
 	}
 	return code
 }

@@ -46,6 +46,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/correct"
 	"repro/internal/metrics"
@@ -90,6 +91,10 @@ type options struct {
 	cpuProfile  string
 	memProfile  string
 	pprofAddr   string
+	// tr is the triple -triple names or the per-axis flags assemble.
+	tr core.Triple
+	// swfFile is the open -swf trace; run closes it when the run ends.
+	swfFile *os.File
 	// tracer is the opened flight recorder (nil = tracing off).
 	tracer obs.Tracer
 }
@@ -108,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.status, "status", "keep", "how -swf honors cancelled/failed jobs: keep | skip | truncate | replay (replay re-kills never-ran cancelled jobs at their logged instant)")
 	fs.StringVar(&o.disrupt, "disrupt", "none", "synthetic disruption intensity: none | light | moderate | heavy")
 	fs.Uint64Var(&o.disruptSeed, "disrupt-seed", 1, "seed for the synthetic disruption generator")
-	fs.StringVar(&o.triple, "triple", "", "named triple: easy | easy++ | best | clairvoyant | clairvoyant-sjbf")
+	fs.StringVar(&o.triple, "triple", "", "named triple: "+core.TripleNames)
 	fs.StringVar(&o.policy, "policy", "easy-sjbf", "scheduling policy: fcfs | easy | easy-sjbf | conservative")
 	fs.StringVar(&o.predictor, "predictor", "ml", "prediction technique: clairvoyant | requested | ave2 | ml")
 	fs.StringVar(&o.lossName, "loss", ml.ELoss.Name(), "ML loss, e.g. \"over=sq,under=lin,w=largearea\"")
@@ -175,11 +180,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if o.routing != "" && *clustersFlag == "" {
 		return usage("-routing needs -clusters (a single machine has nothing to route)")
 	}
-	if msg := traceConflict(o.traceFile, o.cpuProfile, o.memProfile); msg != "" {
+	if msg := cli.TraceConflict(o.traceFile, o.cpuProfile, o.memProfile); msg != "" {
 		return usage("%s", msg)
 	}
+	var err error
 	if *clustersFlag != "" {
-		var err error
 		if o.clusters, err = platform.ParseClusters(*clustersFlag); err != nil {
 			return usage("%v", err)
 		}
@@ -191,12 +196,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	ob, err := startObserve(o, stderr)
-	if err != nil {
+	fail := func(err error) int {
 		fmt.Fprintln(stderr, "simsched:", err)
 		return 1
 	}
-	o.tracer = ob.tracer()
+	if o.triple != "" {
+		if o.tr, err = core.TripleByName(o.triple); err != nil {
+			return usage("%v", err)
+		}
+	} else if o.tr, err = axisTriple(o.policy, o.predictor, o.lossName, o.corrector); err != nil {
+		return fail(err)
+	}
+	if o.swfPath != "" {
+		if o.swfFile, err = os.Open(o.swfPath); err != nil {
+			return fail(err)
+		}
+		defer o.swfFile.Close()
+	}
+
+	ob, err := cli.Start("simsched", stderr, o.cpuProfile, o.memProfile, o.pprofAddr, o.traceFile)
+	if err != nil {
+		return fail(err)
+	}
+	o.tracer = ob.Tracer()
 
 	switch {
 	case o.stream && len(o.clusters) > 0:
@@ -208,12 +230,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		err = runOnce(o, stdout)
 	}
-	if cerr := ob.close(); cerr != nil && err == nil {
+	if cerr := ob.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		fmt.Fprintln(stderr, "simsched:", err)
-		return 1
+		return fail(err)
 	}
 	return 0
 }
@@ -224,10 +245,7 @@ func runOnce(o options, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := buildConfig(o.triple, o.policy, o.predictor, o.lossName, o.corrector)
-	if err != nil {
-		return err
-	}
+	cfg := o.tr.Config()
 	if o.disrupt != "none" {
 		in, ok := scenario.IntensityByName(o.disrupt)
 		if !ok {
@@ -268,7 +286,7 @@ func runOnce(o options, stdout io.Writer) error {
 				pc.Observe(j)
 			}
 		}
-		printClientSplit(stdout, pc)
+		report.ClientSplit(stdout, pc)
 	}
 	return nil
 }
@@ -356,9 +374,6 @@ func runFederatedStreaming(o options, stdout io.Writer) error {
 // Session builds a fresh policy/predictor per cluster — sessions hold
 // state, so sharing one across clusters would corrupt both.
 func buildFederatedConfig(o options) (sim.FederatedConfig, error) {
-	if _, err := buildConfig(o.triple, o.policy, o.predictor, o.lossName, o.corrector); err != nil {
-		return sim.FederatedConfig{}, err
-	}
 	router, err := sched.NewRouter(o.routing)
 	if err != nil {
 		return sim.FederatedConfig{}, err
@@ -367,10 +382,7 @@ func buildFederatedConfig(o options) (sim.FederatedConfig, error) {
 		Clusters: o.clusters,
 		Router:   router,
 		Tracer:   o.tracer,
-		Session: func() sim.Config {
-			cfg, _ := buildConfig(o.triple, o.policy, o.predictor, o.lossName, o.corrector)
-			return cfg
-		},
+		Session:  o.tr.Config,
 	}, nil
 }
 
@@ -416,10 +428,7 @@ func printClusterSplit(stdout io.Writer, res *sim.Result, col *metrics.Federated
 // -disrupt and -status replay modes need the whole trace to derive
 // their scripts and are rejected at flag validation.
 func runStreaming(o options, stdout io.Writer) error {
-	cfg, err := buildConfig(o.triple, o.policy, o.predictor, o.lossName, o.corrector)
-	if err != nil {
-		return err
-	}
+	cfg := o.tr.Config()
 	name, mp, src, clients, err := buildStreamSource(o)
 	if err != nil {
 		return err
@@ -440,16 +449,9 @@ func runStreaming(o options, stdout io.Writer) error {
 	}
 	report.StreamSummary(stdout, report.CollectStreamRun(name, res.MaxProcs, res.Triple, res.Makespan, res.Corrections, col))
 	if pc != nil {
-		printClientSplit(stdout, pc)
+		report.ClientSplit(stdout, pc)
 	}
 	return nil
-}
-
-// printClientSplit renders the per-client lines of a multi-client run,
-// mirroring printClusterSplit's shape for federated runs. The format
-// lives in report.ClientSplit so cmd/schedd's summary matches.
-func printClientSplit(stdout io.Writer, pc *metrics.PerClient) {
-	report.ClientSplit(stdout, pc)
 }
 
 // buildStreamSource assembles the lazy job pipeline and resolves the
@@ -491,12 +493,7 @@ func buildStreamSource(o options) (name string, mp int64, src workload.Source, c
 	if err != nil {
 		return "", 0, nil, nil, err
 	}
-	f, err := os.Open(o.swfPath)
-	if err != nil {
-		return "", 0, nil, nil, err
-	}
-	// The file stays open for the whole run; the process exit closes it.
-	sc := swf.NewScanner(f)
+	sc := swf.NewScanner(o.swfFile)
 	first, err := sc.Next()
 	if err == io.EOF {
 		return "", 0, nil, nil, fmt.Errorf("%s: no jobs", o.swfPath)
@@ -542,12 +539,7 @@ func loadWorkload(o options) (*trace.Workload, *scenario.Script, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		f, err := os.Open(o.swfPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		raw, err := swf.Parse(f)
+		raw, err := swf.Parse(o.swfFile)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -587,23 +579,8 @@ func resolveWSpec(path string) (spec.ResolvedWorkload, error) {
 	return entries[0], nil
 }
 
-func buildConfig(triple, policy, predictor, lossName, corrector string) (sim.Config, error) {
-	if triple != "" {
-		switch strings.ToLower(triple) {
-		case "easy":
-			return core.EASY().Config(), nil
-		case "easy++":
-			return core.EASYPlusPlus().Config(), nil
-		case "best":
-			return core.PaperBest().Config(), nil
-		case "clairvoyant":
-			return core.ClairvoyantEASY().Config(), nil
-		case "clairvoyant-sjbf":
-			return core.ClairvoyantSJBF().Config(), nil
-		default:
-			return sim.Config{}, fmt.Errorf("unknown triple %q", triple)
-		}
-	}
+// axisTriple assembles the triple the per-axis flags describe.
+func axisTriple(policy, predictor, lossName, corrector string) (core.Triple, error) {
 	var t core.Triple
 	switch strings.ToLower(predictor) {
 	case "clairvoyant":
@@ -616,11 +593,11 @@ func buildConfig(triple, policy, predictor, lossName, corrector string) (sim.Con
 		t.Predictor = core.PredLearning
 		loss, err := findLoss(lossName)
 		if err != nil {
-			return sim.Config{}, err
+			return t, err
 		}
 		t.Loss = loss
 	default:
-		return sim.Config{}, fmt.Errorf("unknown predictor %q", predictor)
+		return t, fmt.Errorf("unknown predictor %q", predictor)
 	}
 	switch strings.ToLower(corrector) {
 	case "requested":
@@ -630,22 +607,21 @@ func buildConfig(triple, policy, predictor, lossName, corrector string) (sim.Con
 	case "doubling":
 		t.Corrector = correct.RecursiveDoubling{}
 	default:
-		return sim.Config{}, fmt.Errorf("unknown corrector %q", corrector)
+		return t, fmt.Errorf("unknown corrector %q", corrector)
 	}
-	cfg := sim.Config{Predictor: t.NewPredictor(), Corrector: t.Corrector}
 	switch strings.ToLower(policy) {
 	case "fcfs":
-		cfg.Policy = sched.NewFCFS()
+		t.NoBackfill = true
 	case "easy":
-		cfg.Policy = sched.NewEASY(sched.FCFSOrder)
+		t.Backfill = sched.FCFSOrder
 	case "easy-sjbf":
-		cfg.Policy = sched.NewEASY(sched.SJBFOrder)
+		t.Backfill = sched.SJBFOrder
 	case "conservative":
-		cfg.Policy = sched.NewConservative()
+		t.Conservative = true
 	default:
-		return sim.Config{}, fmt.Errorf("unknown policy %q", policy)
+		return t, fmt.Errorf("unknown policy %q", policy)
 	}
-	return cfg, nil
+	return t, nil
 }
 
 func findLoss(name string) (ml.Loss, error) {

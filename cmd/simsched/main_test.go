@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/swf"
+	"repro/internal/workload"
 )
 
 // TestUsageErrors pins the flag-combination validation: every
@@ -38,6 +40,7 @@ func TestUsageErrors(t *testing.T) {
 		{"trace-cpuprofile-collision", []string{"-trace", "out.x", "-cpuprofile", "out.x"}, "-trace and -cpuprofile both write out.x"},
 		{"trace-memprofile-collision", []string{"-trace", "out.x", "-memprofile", "out.x"}, "-trace and -memprofile both write out.x"},
 		{"unknown-flag", []string{"-flood", "everything"}, ""},
+		{"unknown-triple", []string{"-triple", "eazy"}, `unknown triple "eazy"`},
 		// The sharded driver is gone; its flag must fail, not be ignored.
 		{"removed-shards", []string{"-clusters", "100,100", "-stream", "-shards", "2"}, "flag provided but not defined: -shards"},
 	}
@@ -171,5 +174,104 @@ func TestRunFederatedStreaming(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunTriples: every spelling of the shared triple vocabulary runs,
+// and the per-axis flags assemble the triple they name; an unknown axis
+// value is a runtime failure.
+func TestRunTriples(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-triple", "conservative"}, "Conservative/RequestedTime/RequestedTime"},
+		{[]string{"-triple", "paper-best"}, "EASY-SJBF/ML[over=sq,under=lin,w=largearea]/Incremental"},
+		{[]string{"-triple", "clairvoyant-easy"}, "EASY/Clairvoyant/RequestedTime"},
+		{[]string{"-triple", "clairvoyant-sjbf"}, "EASY-SJBF/Clairvoyant/RequestedTime"},
+		{[]string{"-policy", "conservative", "-predictor", "ave2", "-corrector", "doubling"}, "Conservative/AVE2/RecursiveDoubling"},
+		{[]string{"-policy", "fcfs", "-predictor", "ml"}, "FCFS/ML[over=sq,under=lin,w=largearea]/Incremental"},
+		{[]string{"-policy", "easy", "-predictor", "requested", "-corrector", "requested"}, "EASY/RequestedTime/RequestedTime"},
+		{[]string{"-predictor", "clairvoyant", "-corrector", "incremental"}, "EASY-SJBF/Clairvoyant/Incremental"},
+	}
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-jobs", "100"}, tc.args...), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "triple        "+tc.want+"\n") {
+			t.Errorf("%v: triple line missing %q:\n%s", tc.args, tc.want, stdout.String())
+		}
+	}
+	for _, args := range [][]string{{"-policy", "bogus"}, {"-predictor", "psychic"}, {"-corrector", "wishful"}, {"-loss", "none"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1 (stderr: %s)", args, code, stderr.String())
+		}
+	}
+}
+
+// openFiles counts the process's open file descriptors, or returns -1
+// where /proc/self/fd is unavailable.
+func openFiles() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
+}
+
+// TestRunSWF: an SWF file replays preloaded and streamed to the same
+// metrics, and the run closes the file when it ends.
+func TestRunSWF(t *testing.T) {
+	cfg, err := workload.Scaled("KTH-SP2", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workload.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "smoke.swf")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := swf.Write(f, &swf.Trace{Header: swf.Header{MaxProcs: w.MaxProcs, MaxJobs: int64(len(w.Jobs))}, Jobs: w.Jobs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The lines both paths print in the same format.
+	shared := func(out string) []string {
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			for _, p := range []string{"triple ", "AVEbsld ", "max bsld ", "utilization ", "corrections ", "prediction MAE "} {
+				if strings.HasPrefix(line, p) {
+					keep = append(keep, line)
+				}
+			}
+		}
+		return keep
+	}
+	var outs [2][]string
+	for i, args := range [][]string{
+		{"-swf", path, "-triple", "easy++"},
+		{"-swf", path, "-stream", "-triple", "easy++"},
+	} {
+		before := openFiles()
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, stderr.String())
+		}
+		if after := openFiles(); after != before {
+			t.Errorf("%v: %d open files before the run, %d after", args, before, after)
+		}
+		outs[i] = shared(stdout.String())
+	}
+	if len(outs[0]) != 6 || strings.Join(outs[0], "\n") != strings.Join(outs[1], "\n") {
+		t.Fatalf("preloaded and streamed replays differ:\n%s\nvs\n%s", strings.Join(outs[0], "\n"), strings.Join(outs[1], "\n"))
 	}
 }

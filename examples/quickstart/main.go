@@ -53,5 +53,5 @@ func main() {
 	fmt.Println("\nLower AVEbsld is better. The learning triple cuts the mean waiting")
 	fmt.Println("time sharply; on some logs its AVEbsld is dragged by a handful of")
 	fmt.Println("extreme-slowdown jobs (the paper discusses this in Section 6.5).")
-	fmt.Println("Run cmd/crossval for the cross-validated triple selection of Table 7.")
+	fmt.Println("Run cmd/campaign -table 7 for the cross-validated triple selection of Table 7.")
 }

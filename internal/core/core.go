@@ -11,6 +11,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/correct"
 	"repro/internal/ml"
 	"repro/internal/predict"
@@ -141,6 +144,37 @@ func PaperBest() Triple {
 // see how per-job reservations fare under platform churn.
 func ConservativeBF() Triple {
 	return Triple{Predictor: PredRequested, Corrector: correct.RequestedTime{}, Conservative: true}
+}
+
+// TripleNames lists the names TripleByName accepts, aliases in
+// parentheses.
+const TripleNames = "easy, easy++, best (paper-best), clairvoyant (clairvoyant-easy), clairvoyant-sjbf, conservative"
+
+// TripleByName returns the named triple. Matching ignores case and the
+// separators '-', '_' and ' ', so "paper-best", "PaperBest" and
+// "paper_best" all name PaperBest.
+func TripleByName(name string) (Triple, error) {
+	key := strings.Map(func(r rune) rune {
+		if r == '-' || r == '_' || r == ' ' {
+			return -1
+		}
+		return r
+	}, strings.ToLower(name))
+	switch key {
+	case "easy":
+		return EASY(), nil
+	case "easy++":
+		return EASYPlusPlus(), nil
+	case "best", "paperbest":
+		return PaperBest(), nil
+	case "clairvoyant", "clairvoyanteasy":
+		return ClairvoyantEASY(), nil
+	case "clairvoyantsjbf":
+		return ClairvoyantSJBF(), nil
+	case "conservative":
+		return ConservativeBF(), nil
+	}
+	return Triple{}, fmt.Errorf("unknown triple %q (have %s)", name, TripleNames)
 }
 
 // CampaignTriples enumerates the full experiment campaign of Section 6.2

@@ -32,6 +32,40 @@ func TestNamedTriples(t *testing.T) {
 	}
 }
 
+// TestTripleByName pins the shared vocabulary: every spelling the
+// command lines and specs accept, aliases and separator-insensitive
+// forms included, names the same triple.
+func TestTripleByName(t *testing.T) {
+	cases := []struct {
+		names []string
+		want  Triple
+	}{
+		{[]string{"easy", "EASY"}, EASY()},
+		{[]string{"easy++", "Easy++"}, EASYPlusPlus()},
+		{[]string{"best", "paper-best", "PaperBest", "paper_best", "paper best"}, PaperBest()},
+		{[]string{"clairvoyant", "clairvoyant-easy", "ClairvoyantEASY"}, ClairvoyantEASY()},
+		{[]string{"clairvoyant-sjbf", "clairvoyant_sjbf"}, ClairvoyantSJBF()},
+		{[]string{"conservative", "Conservative"}, ConservativeBF()},
+	}
+	for _, c := range cases {
+		for _, name := range c.names {
+			got, err := TripleByName(name)
+			if err != nil {
+				t.Errorf("TripleByName(%q): %v", name, err)
+				continue
+			}
+			if got.Name() != c.want.Name() {
+				t.Errorf("TripleByName(%q) = %s, want %s", name, got.Name(), c.want.Name())
+			}
+		}
+	}
+	for _, name := range []string{"eazy", "", "easy+", "campaign-grid"} {
+		if _, err := TripleByName(name); err == nil || !strings.Contains(err.Error(), "unknown triple") {
+			t.Errorf("TripleByName(%q) = %v, want an unknown-triple error", name, err)
+		}
+	}
+}
+
 func TestCampaignEnumeration(t *testing.T) {
 	triples := CampaignTriples()
 	// 2 orders × (requested + clairvoyant + 3 correctors × (AVE2 + 20 losses)) = 2×(2+63) = 130.

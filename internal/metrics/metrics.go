@@ -192,19 +192,3 @@ func (e *ECDF) Quantile(q float64) float64 {
 	}
 	return e.values[idx]
 }
-
-// Series samples the ECDF at n evenly spaced points across [lo, hi],
-// returning (x, P(X<=x)) pairs — the plottable form of Figures 4 and 5.
-func (e *ECDF) Series(lo, hi float64, n int) (xs, ps []float64) {
-	if n < 2 {
-		n = 2
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		xs[i] = x
-		ps[i] = e.At(x)
-	}
-	return xs, ps
-}

@@ -171,20 +171,6 @@ func TestECDFQuantile(t *testing.T) {
 	}
 }
 
-func TestECDFSeries(t *testing.T) {
-	e := NewECDF([]float64{0, 10})
-	xs, ps := e.Series(0, 10, 3)
-	if len(xs) != 3 || xs[0] != 0 || xs[2] != 10 {
-		t.Fatalf("xs = %v", xs)
-	}
-	if ps[0] != 0.5 || ps[2] != 1 {
-		t.Fatalf("ps = %v", ps)
-	}
-	if !monotone(ps) {
-		t.Fatal("ECDF series must be monotone")
-	}
-}
-
 func TestECDFEmpty(t *testing.T) {
 	e := NewECDF(nil)
 	if got := e.At(5); got != 0 {

@@ -55,8 +55,8 @@ func AnalyzePredictions(w *trace.Workload) ([]PredictionSeries, error) {
 			MAE:       metrics.MAE(res.Jobs),
 			MeanELoss: metrics.MeanELoss(res.Jobs),
 		}
+		s.Errors = metrics.PredictionError(res.Jobs)
 		for _, j := range res.Jobs {
-			s.Errors = append(s.Errors, float64(j.SubmitPrediction-j.Runtime))
 			s.Predicted = append(s.Predicted, float64(j.SubmitPrediction))
 		}
 		out = append(out, s)

@@ -82,6 +82,9 @@ func TestTable7(t *testing.T) {
 	if !strings.Contains(out, "KTH-SP2") {
 		t.Fatalf("Table 7 missing rows:\n%s", out)
 	}
+	if !strings.Contains(out, "Average AVEbsld reduction of the C-V triple: ") {
+		t.Fatalf("Table 7 missing the headline line:\n%s", out)
+	}
 }
 
 func TestFigure3(t *testing.T) {

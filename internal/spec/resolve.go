@@ -183,11 +183,10 @@ func (s *Spec) decodeServe(n *node) error {
 	if tn := n.at("triple"); tn != nil {
 		switch tn.kind {
 		case kindScalar:
-			set, ok := namedTripleSets[norm(tn.scalar)]
+			ts, ok := namedTriples(tn.scalar)
 			if !ok {
 				return tn.errf("unknown triple %q (have %s, or a structured mapping)", tn.scalar, tripleNames)
 			}
-			ts := set()
 			if len(ts) != 1 {
 				return tn.errf("triple %q expands to %d triples; serve needs exactly one", tn.scalar, len(ts))
 			}
@@ -626,20 +625,21 @@ func norm(s string) string {
 	}, s)
 }
 
-// namedTripleSets are the scalar triple entries. A name may expand to
-// several triples (the full campaign grid).
-var namedTripleSets = map[string]func() []core.Triple{
-	"easy":              func() []core.Triple { return []core.Triple{core.EASY()} },
-	"easy++":            func() []core.Triple { return []core.Triple{core.EASYPlusPlus()} },
-	"paperbest":         func() []core.Triple { return []core.Triple{core.PaperBest()} },
-	"clairvoyanteasy":   func() []core.Triple { return []core.Triple{core.ClairvoyantEASY()} },
-	"clairvoyantsjbf":   func() []core.Triple { return []core.Triple{core.ClairvoyantSJBF()} },
-	"conservative":      func() []core.Triple { return []core.Triple{core.ConservativeBF()} },
-	"campaigngrid":      core.CampaignTriples,
-	"robustnessdefault": campaign.DefaultRobustnessTriples,
+// namedTriples expands a scalar triple entry: one of core's named
+// triples, or the name of a whole set (the full campaign grid, the
+// robustness sweep's default).
+func namedTriples(name string) ([]core.Triple, bool) {
+	switch norm(name) {
+	case "campaigngrid":
+		return core.CampaignTriples(), true
+	case "robustnessdefault":
+		return campaign.DefaultRobustnessTriples(), true
+	}
+	t, err := core.TripleByName(name)
+	return []core.Triple{t}, err == nil
 }
 
-const tripleNames = "easy, easy++, paper-best, clairvoyant-easy, clairvoyant-sjbf, conservative, campaign-grid, robustness-default"
+const tripleNames = core.TripleNames + ", campaign-grid, robustness-default"
 
 func (s *Spec) decodeTriples(n *node) error {
 	if n.kind != kindList {
@@ -651,11 +651,11 @@ func (s *Spec) decodeTriples(n *node) error {
 	for _, item := range n.items {
 		switch item.kind {
 		case kindScalar:
-			set, ok := namedTripleSets[norm(item.scalar)]
+			ts, ok := namedTriples(item.scalar)
 			if !ok {
 				return item.errf("unknown triple %q (have %s, or a structured mapping)", item.scalar, tripleNames)
 			}
-			s.Triples = append(s.Triples, set()...)
+			s.Triples = append(s.Triples, ts...)
 		case kindMap:
 			tr, err := decodeStructuredTriple(item)
 			if err != nil {

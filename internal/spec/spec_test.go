@@ -67,6 +67,24 @@ triples:
 	loadErr(t, "kind: tournament\n", `unknown kind "tournament"`, "1")
 }
 
+// TestTripleAliases: a triple list takes the command lines' spellings
+// too, since both resolve names through core.TripleByName.
+func TestTripleAliases(t *testing.T) {
+	s, err := Load(writeSpec(t, t.TempDir(), "aliases.yaml", "triples: [best, paper-best, clairvoyant, clairvoyant-easy]\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []core.Triple{core.PaperBest(), core.PaperBest(), core.ClairvoyantEASY(), core.ClairvoyantEASY()}
+	if len(s.Triples) != len(want) {
+		t.Fatalf("%d triples, want %d", len(s.Triples), len(want))
+	}
+	for i, tr := range s.Triples {
+		if tr.Name() != want[i].Name() {
+			t.Errorf("triple %d = %s, want %s", i, tr.Name(), want[i].Name())
+		}
+	}
+}
+
 func TestValueValidation(t *testing.T) {
 	loadErr(t, "jobs: -5\n", "jobs must be >= 0", "1")
 	loadErr(t, "seed: many\n", "unsigned integer", "1")

@@ -1,6 +1,6 @@
 // Package stats provides the descriptive statistics used by the result
 // analysis: Pearson correlation (Section 6.3.2's cross-log comparison),
-// means, standard deviations and histograms.
+// means and ranges.
 package stats
 
 import (
@@ -18,20 +18,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation, or NaN for empty input.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
 }
 
 // Pearson returns the Pearson correlation coefficient of two equal-length
@@ -73,25 +59,4 @@ func MinMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Histogram counts samples into n equal-width bins over [lo, hi]; values
-// outside the range clamp into the edge bins.
-func Histogram(xs []float64, lo, hi float64, n int) []int {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	bins := make([]int, n)
-	width := (hi - lo) / float64(n)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		bins[i]++
-	}
-	return bins
 }

@@ -15,19 +15,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 2, 2}); got != 0 {
-		t.Fatalf("constant StdDev = %v", got)
-	}
-	got := StdDev([]float64{1, 3})
-	if math.Abs(got-1) > 1e-9 {
-		t.Fatalf("StdDev = %v, want 1", got)
-	}
-	if !math.IsNaN(StdDev(nil)) {
-		t.Fatal("empty stddev should be NaN")
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{10, 20, 30, 40}
@@ -74,33 +61,6 @@ func TestMinMax(t *testing.T) {
 	if lo != -1 || hi != 7 {
 		t.Fatalf("MinMax = %v,%v", lo, hi)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	bins := Histogram([]float64{0, 1, 2, 3, 9.9, -5, 100}, 0, 10, 10)
-	if bins[0] != 3 { // 0, 1 (0<=x<1 -> bin0; 1 -> bin1?) check: 0->0, 1->1, -5 clamps to 0
-		// 0 -> bin0, -5 -> bin0 (clamped), 1 -> bin1
-		t.Logf("bins: %v", bins)
-	}
-	total := 0
-	for _, b := range bins {
-		total += b
-	}
-	if total != 7 {
-		t.Fatalf("histogram lost samples: %d", total)
-	}
-	if bins[9] < 2 { // 9.9 and clamped 100
-		t.Fatalf("edge bin = %d, want >= 2", bins[9])
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for invalid histogram")
-		}
-	}()
-	Histogram(nil, 5, 5, 10)
 }
 
 func TestQuickPearsonRange(t *testing.T) {

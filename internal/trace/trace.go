@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/swf"
@@ -42,20 +41,6 @@ func FromSWF(name string, tr *swf.Trace, maxProcs int64) (*Workload, error) {
 		return nil, fmt.Errorf("trace: %s: no usable jobs after cleaning", name)
 	}
 	return &Workload{Name: name, MaxProcs: maxProcs, Jobs: clean.Jobs}, nil
-}
-
-// LoadFile parses an SWF file from disk and builds a Workload.
-func LoadFile(name, path string, maxProcs int64) (*Workload, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	tr, err := swf.Parse(f)
-	if err != nil {
-		return nil, err
-	}
-	return FromSWF(name, tr, maxProcs)
 }
 
 // Duration returns the span from the first submission to the last

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/swf"
@@ -112,28 +110,6 @@ func TestSlice(t *testing.T) {
 	}
 	if got := w.Slice(100); len(got.Jobs) != 3 {
 		t.Errorf("Slice(100) should keep all jobs, got %d", len(got.Jobs))
-	}
-}
-
-func TestLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.swf")
-	content := "; MaxProcs: 10\n1 0 0 60 2 -1 -1 2 120 -1 1 1 1 1 1 1 -1 -1\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := LoadFile("disk", path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Jobs) != 1 || w.MaxProcs != 10 {
-		t.Errorf("loaded workload wrong: %d jobs, %d procs", len(w.Jobs), w.MaxProcs)
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile("x", "/nonexistent/file.swf", 0); err == nil {
-		t.Fatal("expected error for missing file")
 	}
 }
 
