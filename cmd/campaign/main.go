@@ -78,11 +78,9 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/report"
-	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/spec"
 	"repro/internal/workload"
@@ -148,9 +146,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *par < 0 {
 		return usage("-p must be >= 0 (0 = GOMAXPROCS), got %d", *par)
 	}
-	if *validate && *specPath == "" {
-		return usage("-validate requires -spec")
-	}
 	if *memLimit < 0 {
 		return usage("-memlimit must be >= 0 MiB, got %d", *memLimit)
 	}
@@ -162,9 +157,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *clustersFlag != "" {
 		if clusters, err = platform.ParseClusters(*clustersFlag); err != nil {
 			return usage("%v", err)
-		}
-		if *robustness {
-			return usage("-clusters conflicts with -robustness (the disruption sweep is single-machine)")
 		}
 	}
 	var routings []string
@@ -237,20 +229,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if s.Output.Resume && s.Output.Journal == "" {
-		return usage("-resume needs a journal: pass -out (or set output.journal in the spec)")
-	}
-	if len(s.Routings) > 0 && !s.Federated() {
-		return usage("-routing needs -clusters (or clusters in the spec): a single-machine grid has nothing to route")
+	// The grid's rules, checked once the flags are laid over the spec.
+	if err := s.Check(); err != nil {
+		return usage("%v", err)
 	}
 	if *validate {
+		if *specPath == "" {
+			return usage("-validate requires -spec")
+		}
 		if err := printSpecShape(stdout, s); err != nil {
 			return fail(err)
 		}
 		return 0
-	}
-	if s.Kind != "robustness" && s.Federated() && (len(s.Output.Tables) > 0 || len(s.Output.Figures) > 0) {
-		return usage("-table/-figure do not apply to a federated campaign (it renders the federated table)")
 	}
 
 	if *memLimit > 0 {
@@ -302,9 +292,9 @@ func parseRoutings(s string) ([]string, error) {
 	return out, nil
 }
 
-// runSpec generates the spec's workloads and runs the grid its kind and
-// platform select: the disruption sweep, the federated campaign, or the
-// paper-table campaign.
+// runSpec generates the spec's workloads and runs the grid its kind
+// selects: the disruption sweep or the campaign, on one machine or on
+// the spec's federated platforms.
 func runSpec(ctx context.Context, s *spec.Spec, tracer obs.Tracer, stdout, stderr io.Writer) error {
 	ws, err := s.GenerateWorkloads()
 	if err != nil {
@@ -313,23 +303,17 @@ func runSpec(ctx context.Context, s *spec.Spec, tracer obs.Tracer, stdout, stder
 	// -perf implies stage profiling: the summary it prints is where the
 	// per-stage latency histograms render.
 	profile := s.Output.Perf || s.Trace.Profile
-	switch {
-	case s.Kind == "robustness":
+	if s.Kind == "robustness" {
 		grids := make([]*campaign.Robustness, s.Repeats)
 		for r := range grids {
 			grids[r] = s.Robustness(ws, r)
 			grids[r].Tracer, grids[r].Profile = tracer, profile
 		}
 		return runRobustnessGrids(ctx, grids, s.Output, stdout, stderr)
-	case s.Federated():
-		fc := s.FederatedCampaign(ws)
-		fc.Tracer, fc.Profile = tracer, profile
-		return runFederatedGrid(ctx, fc, s.Output, stdout, stderr)
-	default:
-		c := s.Campaign(ws)
-		c.Tracer, c.Profile = tracer, profile
-		return runCampaignGrid(ctx, c, s.Jobs, s.Output, stdout, stderr)
 	}
+	c := s.Campaign(ws)
+	c.Tracer, c.Profile = tracer, profile
+	return runCampaignGrid(ctx, c, s.Jobs, s.Output, stdout, stderr)
 }
 
 // printSpecShape is the -validate dry run: the spec resolved and
@@ -388,17 +372,19 @@ func printSpecShape(stdout io.Writer, s *spec.Spec) error {
 	return nil
 }
 
-// runCampaignGrid runs the paper-table campaign and renders the
-// selected tables and figures (all of them when none is selected). jobs
-// is the preset scaling of the Curie prediction series behind Table 8
-// and Figures 4-5.
+// runCampaignGrid runs the campaign. A federated campaign renders the
+// federated table with its per-cluster columns; a single-machine one
+// renders the selected paper tables and figures (all of them when none
+// is selected). jobs is the preset scaling of the Curie prediction
+// series behind Table 8 and Figures 4-5.
 func runCampaignGrid(ctx context.Context, c *campaign.Campaign, jobs int, o spec.Output, stdout, stderr io.Writer) error {
+	federated := len(c.Federations) > 0
 	tables, figures := o.Tables, o.Figures
-	if len(tables) == 0 && len(figures) == 0 {
+	if len(tables) == 0 && len(figures) == 0 && !federated {
 		tables, figures = []int{1, 6, 7, 8}, []int{3, 4, 5}
 	}
 	var results []campaign.RunResult
-	if hasAny(tables, 1, 6, 7) || hasAny(figures, 3) {
+	if federated || hasAny(tables, 1, 6, 7) || hasAny(figures, 3) {
 		journal, done, err := openJournal(o.Journal, o.Resume, stderr)
 		if err != nil {
 			return err
@@ -406,11 +392,12 @@ func runCampaignGrid(ctx context.Context, c *campaign.Campaign, jobs int, o spec
 		defer closeJournal(journal, stderr)
 		c.Journal, c.Resume = journal, done
 		c.Progress = progressReporter(stderr, "campaign")
-		ntr := len(c.Triples)
-		if ntr == 0 {
-			ntr = len(core.CampaignTriples())
+		nw, nf, nt := len(c.Workloads), len(c.Federations), len(c.TripleAxis())
+		if federated {
+			fmt.Fprintf(stderr, "campaign: running %d federated simulations (%d workloads x %d federations x %d triples)...\n", nw*nf*nt, nw, nf, nt)
+		} else {
+			fmt.Fprintf(stderr, "campaign: running %d simulations (%d workloads x %d triples)...\n", nw*nt, nw, nt)
 		}
-		fmt.Fprintf(stderr, "campaign: running %d simulations (%d workloads x %d triples)...\n", len(c.Workloads)*ntr, len(c.Workloads), ntr)
 		results, err = c.Run(ctx)
 		if err != nil {
 			return gridFailed(err, len(results), o.Journal)
@@ -418,6 +405,10 @@ func runCampaignGrid(ctx context.Context, c *campaign.Campaign, jobs int, o spec
 		if o.Perf {
 			fmt.Fprintln(stderr, report.PerfSummary(results))
 		}
+	}
+	if federated {
+		fmt.Fprintln(stdout, report.FederatedTable(results))
+		return nil
 	}
 
 	if hasAny(tables, 1) {
@@ -469,35 +460,6 @@ func runCampaignGrid(ctx context.Context, c *campaign.Campaign, jobs int, o spec
 	return nil
 }
 
-// runFederatedGrid runs the federated campaign — workloads x routing
-// policies x triples on a multi-cluster platform — and renders the
-// federated table with its per-cluster columns.
-func runFederatedGrid(ctx context.Context, fc *campaign.FederatedCampaign, o spec.Output, stdout, stderr io.Writer) error {
-	journal, done, err := openJournal(o.Journal, o.Resume, stderr)
-	if err != nil {
-		return err
-	}
-	defer closeJournal(journal, stderr)
-	fc.Journal, fc.Resume = journal, done
-	fc.Progress = progressReporter(stderr, "federated")
-	ntr := len(fc.Triples)
-	if ntr == 0 {
-		ntr = len(core.CampaignTriples())
-	}
-	nw := len(fc.Workloads)
-	fmt.Fprintf(stderr, "campaign: running %d federated simulations (%d workloads x %d federations x %d triples)...\n",
-		nw*len(fc.Federations)*ntr, nw, len(fc.Federations), ntr)
-	results, err := fc.Run(ctx)
-	if err != nil {
-		return gridFailed(err, len(results), o.Journal)
-	}
-	if o.Perf {
-		fmt.Fprintln(stderr, report.FederatedPerfSummary(results))
-	}
-	fmt.Fprintln(stdout, report.FederatedTable(results))
-	return nil
-}
-
 // runRobustnessGrids runs one disruption sweep per repeat (sharing the
 // journal), cell-averages them, and renders the robustness table.
 func runRobustnessGrids(ctx context.Context, grids []*campaign.Robustness, o spec.Output, stdout, stderr io.Writer) error {
@@ -506,15 +468,7 @@ func runRobustnessGrids(ctx context.Context, grids []*campaign.Robustness, o spe
 		return err
 	}
 	defer closeJournal(journal, stderr)
-	nw := len(grids[0].Workloads)
-	triples := len(grids[0].Triples)
-	if triples == 0 {
-		triples = len(campaign.DefaultRobustnessTriples())
-	}
-	cols := len(grids[0].Scenarios)
-	if cols == 0 {
-		cols = len(scenario.Intensities)
-	}
+	nw, triples, cols := len(grids[0].Workloads), len(grids[0].TripleAxis()), len(grids[0].ScenarioAxis())
 	fmt.Fprintf(stderr, "campaign: running %d disrupted simulations (%d workloads x %d triples x %d scenarios x %d repeats)...\n",
 		nw*triples*cols*len(grids), nw, triples, cols, len(grids))
 

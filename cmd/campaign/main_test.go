@@ -23,7 +23,7 @@ func runCampaign(t *testing.T, args ...string) (int, string, string) {
 // TestUsageErrors pins every usage error (exit 2) but the trace
 // conflicts of TestTraceConflict: each contradictory or malformed flag
 // combination is rejected with a message naming it, before anything
-// runs.
+// runs, and the -validate dry run rejects it the same way.
 func TestUsageErrors(t *testing.T) {
 	smoke, federated := "../../specs/ci-smoke.yaml", "../../specs/federated.yaml"
 	cases := []struct {
@@ -39,29 +39,38 @@ func TestUsageErrors(t *testing.T) {
 		{"negative-memlimit", []string{"-memlimit", "-1"}, "-memlimit must be >= 0"},
 		{"validate-without-spec", []string{"-validate"}, "-validate requires -spec"},
 		{"bad-clusters", []string{"-clusters", "100,zero"}, "bad processor count"},
-		{"clusters+robustness", []string{"-clusters", "100,100", "-robustness"}, "-clusters conflicts with -robustness"},
+		{"clusters+robustness", []string{"-clusters", "100,100", "-robustness"}, "-clusters only apply to campaign grids"},
 		{"bad-routing", []string{"-clusters", "100", "-routing", "random"}, "unknown router"},
 		{"routing-twice", []string{"-clusters", "100", "-routing", "spillover,spillover"}, `lists "spillover" twice`},
-		{"routing-without-clusters", []string{"-routing", "spillover"}, "-routing needs -clusters"},
+		{"routing-without-clusters", []string{"-routing", "spillover"}, "-routing needs clusters"},
 		{"resume-without-out", []string{"-resume"}, "-resume needs a journal"},
-		{"clusters+table", []string{"-clusters", "100,100", "-table", "1"}, "do not apply to a federated campaign"},
-		{"clusters+figure", []string{"-clusters", "100,100", "-figure", "4"}, "do not apply to a federated campaign"},
+		{"clusters+table", []string{"-clusters", "100,100", "-table", "1"}, "-table do not apply to a federated campaign"},
+		{"clusters+figure", []string{"-clusters", "100,100", "-figure", "4"}, "-figure do not apply to a federated campaign"},
+		{"robustness+table", []string{"-robustness", "-table", "6", "-jobs", "60"}, "-table only apply to campaign grids"},
+		{"unknown-table", []string{"-jobs", "30", "-table", "9"}, "unknown -table entry 9 (have [1 6 7 8])"},
+		{"unknown-figure", []string{"-jobs", "30", "-figure", "2"}, "unknown -figure entry 2 (have [3 4 5])"},
 		{"robustness+spec", []string{"-spec", smoke, "-robustness"}, "-robustness conflicts with -spec"},
 		{"spec-resume-without-journal", []string{"-spec", smoke, "-resume"}, "-resume needs a journal"},
-		{"spec-routing-without-clusters", []string{"-spec", smoke, "-routing", "spillover"}, "-routing needs -clusters"},
-		{"federated-spec+table", []string{"-spec", federated, "-table", "6"}, "do not apply to a federated campaign"},
+		{"spec-routing-without-clusters", []string{"-spec", smoke, "-routing", "spillover"}, "-routing needs clusters"},
+		{"robustness-spec+clusters", []string{"-spec", smoke, "-clusters", "100,100"}, "-clusters only apply to campaign grids"},
+		{"robustness-spec+table", []string{"-spec", smoke, "-table", "6"}, "-table only apply to campaign grids"},
+		{"federated-spec+table", []string{"-spec", federated, "-table", "6"}, "-table do not apply to a federated campaign"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, stdout, stderr := runCampaign(t, tc.args...)
-			if code != 2 {
-				t.Fatalf("exit %d, want 2 (stderr: %s)", code, stderr)
-			}
-			if !strings.Contains(stderr, tc.want) {
-				t.Errorf("stderr %q does not mention %q", stderr, tc.want)
-			}
-			if stdout != "" {
-				t.Errorf("a usage error printed to stdout: %q", stdout)
+			for mode, extra := range map[string][]string{"run": nil, "validate": {"-validate"}} {
+				t.Run(mode, func(t *testing.T) {
+					code, stdout, stderr := runCampaign(t, append(tc.args, extra...)...)
+					if code != 2 {
+						t.Fatalf("exit %d, want 2 (stderr: %s)", code, stderr)
+					}
+					if !strings.Contains(stderr, tc.want) {
+						t.Errorf("stderr %q does not mention %q", stderr, tc.want)
+					}
+					if stdout != "" {
+						t.Errorf("a usage error printed to stdout: %q", stdout)
+					}
+				})
 			}
 		})
 	}

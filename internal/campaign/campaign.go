@@ -12,13 +12,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// RunResult is the outcome of one (workload, triple) simulation.
+// RunResult is the outcome of one grid cell: a (workload, triple)
+// simulation on the workload's own machine or on one federated platform.
 type RunResult struct {
 	Workload string
 	Triple   core.Triple
@@ -43,6 +45,13 @@ type RunResult struct {
 	// Nil for single-population workloads and federated cells (whose
 	// decomposition axis is the cluster).
 	Clients []ClientMetrics
+	// Routing and Topology identify a federated cell's platform: the
+	// routing policy and the canonical cluster-shape fingerprint
+	// (platform.Topology). Clusters holds its per-cluster metrics in
+	// platform order. All three stay zero on single-machine cells.
+	Routing  string
+	Topology string
+	Clusters []ClusterMetrics
 	// Perf holds the simulation's performance counters.
 	Perf sim.Perf
 }
@@ -52,8 +61,12 @@ type Campaign struct {
 	// Workloads are the inputs, typically the six Table-4 presets.
 	Workloads []*trace.Workload
 	// Triples is the heuristic-triple grid (defaults to
-	// core.CampaignTriples when empty).
+	// core.CampaignTriples when empty; see TripleAxis).
 	Triples []core.Triple
+	// Federations is the platform axis: every (workload, triple) cell
+	// runs once per federation, its jobs routed across the federation's
+	// clusters. Empty means the single machine each workload describes.
+	Federations []Federation
 	// Parallelism bounds concurrent simulations (defaults to GOMAXPROCS).
 	Parallelism int
 	// Seed is the base seed each cell's deterministic seed is derived
@@ -73,7 +86,8 @@ type Campaign struct {
 	// lazy sources, e.g. simsched/gentrace -stream. Per-schedule
 	// validation (sim.ValidateResult) is skipped: it needs the retained
 	// schedule, and the streaming engine's equivalence to the validated
-	// path is exactly what the differential layer proves.
+	// path is exactly what the differential layer proves. Federated
+	// cells stream through the federated engine the same way.
 	Stream bool
 	// Progress, when non-nil, is called after every settled cell
 	// (completed, failed, or skipped via Resume) with the number done
@@ -117,84 +131,70 @@ func DefaultWorkloads(jobsPerLog int) ([]*trace.Workload, error) {
 	return out, nil
 }
 
-// Run executes the full grid on the shared cancellable executor.
-// Results are ordered (workload-major, triple-minor) regardless of
-// completion order, keeping reports deterministic. Cancelling ctx stops
-// the grid gracefully after in-flight cells finish. On error — cell
-// failures or cancellation — Run returns every completed cell (still in
-// grid order) together with the joined error, so journaled progress and
-// partial results survive instead of being thrown away.
+// TripleAxis returns the triples Run grids over: Triples, or
+// core.CampaignTriples when it is empty.
+func (c *Campaign) TripleAxis() []core.Triple {
+	if len(c.Triples) > 0 {
+		return c.Triples
+	}
+	return core.CampaignTriples()
+}
+
+// Run executes the full grid on the shared cancellable cell loop.
+// Results are ordered workload-major, federation-mid, triple-minor
+// regardless of completion order, keeping reports deterministic.
+// Cancelling ctx stops the grid gracefully after in-flight cells
+// finish. On error — cell failures or cancellation — Run returns every
+// completed cell (still in grid order) together with the joined error,
+// so journaled progress and partial results survive instead of being
+// thrown away.
 func (c *Campaign) Run(ctx context.Context) ([]RunResult, error) {
-	triples := c.Triples
-	if len(triples) == 0 {
-		triples = core.CampaignTriples()
-	}
-	results := make([]RunResult, len(c.Workloads)*len(triples))
-	completed := make([]bool, len(results))
-
-	// Pre-fill cells a previous journaled run already finished.
-	keys := make([]string, len(results))
-	for wi, w := range c.Workloads {
-		for ti, tr := range triples {
-			i := wi*len(triples) + ti
-			keys[i] = CellRecord{
-				Kind: "campaign", Workload: w.Name, JobCount: len(w.Jobs),
-				Triple: tr.Name(), Seed: cellSeed(c.Seed, i),
-			}.Key()
-			if rec, ok := c.Resume[keys[i]]; ok {
-				results[i] = rec.runResult(tr)
-				completed[i] = true
-			}
+	triples := c.TripleAxis()
+	// Every federation is checked up front, so a bad one fails fast
+	// instead of once per cell. No federation means one platform: the
+	// single machine.
+	topologies := make([]string, len(c.Federations))
+	for fi, fed := range c.Federations {
+		clusters, _, err := fed.platform()
+		if err != nil {
+			return nil, err
 		}
+		topologies[fi] = platform.Topology(clusters)
 	}
-
+	nf, nt := max(1, len(c.Federations)), len(triples)
 	g := grid{
-		total:       len(results),
+		total:       len(c.Workloads) * nf * nt,
 		parallelism: c.Parallelism,
 		seed:        c.Seed,
 		progress:    c.Progress,
-		skip:        func(i int) bool { return completed[i] },
+		journal:     c.Journal,
+		resume:      c.Resume,
 	}
-	err := g.run(ctx, func(i int, seed uint64) error {
-		wi, ti := i/len(triples), i%len(triples)
-		rr, err := runOne(c.Workloads[wi], triples[ti], nil, c.Stream, c.Tracer, c.Profile)
-		if err != nil {
-			return err
+	return runCells(ctx, g, func(i int) CellRecord {
+		w, fi := c.Workloads[i/(nf*nt)], (i/nt)%nf
+		key := CellRecord{Kind: "campaign", Workload: w.Name, JobCount: len(w.Jobs), Triple: triples[i%nt].Name()}
+		if len(c.Federations) > 0 {
+			key.Federation, key.Topology = c.Federations[fi].router(), topologies[fi]
 		}
-		results[i] = rr
-		completed[i] = true
-		if c.Journal != nil {
-			rec := newCellRecord("campaign", "", len(c.Workloads[wi].Jobs), rr, seed, 0, 0)
-			if jerr := c.Journal.Append(rec); jerr != nil {
-				return jerr
-			}
+		return key
+	}, func(i int, rec *CellRecord) error {
+		w, fi, tr := c.Workloads[i/(nf*nt)], (i/nt)%nf, triples[i%nt]
+		if len(c.Federations) > 0 {
+			return runOneFederated(rec, w, c.Federations[fi], tr, c.Stream, c.Tracer, c.Profile)
 		}
-		return nil
+		return runOne(rec, w, tr, nil, c.Stream, c.Tracer, c.Profile)
+	}, func(i int, rec CellRecord) RunResult {
+		return rec.runResult(triples[i%nt])
 	})
-	if err != nil {
-		return compact(results, completed), err
-	}
-	return results, nil
-}
-
-// compact keeps the completed cells of a partially-run grid, preserving
-// grid order.
-func compact[T any](results []T, completed []bool) []T {
-	out := results[:0]
-	for i, ok := range completed {
-		if ok {
-			out = append(out, results[i])
-		}
-	}
-	return out
 }
 
 // runOne simulates one (workload, triple) cell, optionally under a
-// disruption script. The preloading path validates the realized
-// schedule; the streaming path computes its metrics one-pass without
-// ever retaining the schedule (equivalence to the validated path is the
-// differential layer's burden).
-func runOne(w *trace.Workload, tr core.Triple, script *scenario.Script, stream bool, tracer obs.Tracer, profile bool) (RunResult, error) {
+// disruption script, and records its measurements in rec. The
+// preloading path validates the realized schedule; the streaming path
+// computes its metrics one-pass without ever retaining the schedule
+// (equivalence to the validated path is the differential layer's
+// burden).
+func runOne(rec *CellRecord, w *trace.Workload, tr core.Triple, script *scenario.Script, stream bool, tracer obs.Tracer, profile bool) error {
 	cfg := tr.Config()
 	cfg.Script = script
 	if tracer != nil {
@@ -214,50 +214,34 @@ func runOne(w *trace.Workload, tr core.Triple, script *scenario.Script, stream b
 		}
 		res, err := sim.RunStream(w.Name, w.MaxProcs, workload.FromWorkload(w), cfg)
 		if err != nil {
-			return RunResult{}, fmt.Errorf("campaign: %s on %s (stream): %w", tr.Name(), w.Name, err)
+			return fmt.Errorf("campaign: %s on %s (stream): %w", tr.Name(), w.Name, err)
 		}
-		rr := RunResult{
-			Workload:    w.Name,
-			Triple:      tr,
-			AVEbsld:     col.AVEbsld(),
-			MaxBsld:     col.MaxBsld(),
-			MeanWait:    col.MeanWait(),
-			Utilization: col.Utilization(res.Makespan, res.MaxProcs),
-			Corrections: res.Corrections,
-			Canceled:    res.Canceled,
-			MAE:         col.MAE(),
-			MeanELoss:   col.MeanELoss(),
-			Perf:        res.Perf,
-		}
+		rec.measure(col, res)
 		if clients != nil {
-			rr.Clients = perClientMetrics(clients)
+			rec.PerClient = perClientMetrics(clients)
 		}
-		return rr, nil
+		return nil
 	}
 	res, err := sim.Run(w, cfg)
 	if err != nil {
-		return RunResult{}, fmt.Errorf("campaign: %s on %s: %w", tr.Name(), w.Name, err)
+		return fmt.Errorf("campaign: %s on %s: %w", tr.Name(), w.Name, err)
 	}
 	if verrs := sim.ValidateResult(res); len(verrs) != 0 {
-		return RunResult{}, fmt.Errorf("campaign: %s on %s: invalid schedule: %v", tr.Name(), w.Name, verrs[0])
+		return fmt.Errorf("campaign: %s on %s: invalid schedule: %v", tr.Name(), w.Name, verrs[0])
 	}
-	rr := RunResult{
-		Workload:    w.Name,
-		Triple:      tr,
-		AVEbsld:     metrics.AVEbsld(res),
-		MaxBsld:     metrics.MaxBsld(res),
-		MeanWait:    metrics.MeanWait(res),
-		Utilization: metrics.Utilization(res),
-		Corrections: res.Corrections,
-		Canceled:    res.Canceled,
-		MAE:         metrics.MAE(res.Jobs),
-		MeanELoss:   metrics.MeanELoss(res.Jobs),
-		Perf:        res.Perf,
-	}
+	rec.AVEbsld = metrics.AVEbsld(res)
+	rec.MaxBsld = metrics.MaxBsld(res)
+	rec.MeanWait = metrics.MeanWait(res)
+	rec.Utilization = metrics.Utilization(res)
+	rec.Corrections = res.Corrections
+	rec.Canceled = res.Canceled
+	rec.MAE = metrics.MAE(res.Jobs)
+	rec.MeanELoss = metrics.MeanELoss(res.Jobs)
+	rec.Perf = res.Perf
 	if len(w.Clients) > 0 {
-		rr.Clients = perClientMetrics(perClientFromJobs(w.Clients, res.Jobs))
+		rec.PerClient = perClientMetrics(perClientFromJobs(w.Clients, res.Jobs))
 	}
-	return rr, nil
+	return nil
 }
 
 // Score looks up the AVEbsld of a (workload, triple-name) pair.

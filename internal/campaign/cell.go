@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -31,9 +32,9 @@ type CellRecord struct {
 	// doubles as a fingerprint of both in the cell key.
 	Seed uint64 `json:"seed"`
 	// Federation and Topology identify the platform of a federated cell:
-	// the federation's name (usually its routing policy) and the
-	// canonical cluster-shape fingerprint (platform.Topology). Both are
-	// empty on classic single-machine cells, whose keys are unchanged.
+	// its routing policy and the canonical cluster-shape fingerprint
+	// (platform.Topology). Both are empty on classic single-machine
+	// cells, whose keys are unchanged.
 	Federation string `json:"federation,omitempty"`
 	Topology   string `json:"topology,omitempty"`
 
@@ -80,35 +81,10 @@ func (r CellRecord) Key() string {
 	return strings.Join(parts, "|")
 }
 
-// newCellRecord journals one completed cell.
-func newCellRecord(kind, intensity string, jobCount int, rr RunResult, seed uint64, drains, cancels int) CellRecord {
-	return CellRecord{
-		Kind:      kind,
-		Workload:  rr.Workload,
-		JobCount:  jobCount,
-		Triple:    rr.Triple.Name(),
-		Intensity: intensity,
-		Seed:      seed,
-
-		AVEbsld:     rr.AVEbsld,
-		MaxBsld:     rr.MaxBsld,
-		MeanWait:    rr.MeanWait,
-		Utilization: rr.Utilization,
-		Corrections: rr.Corrections,
-		Canceled:    rr.Canceled,
-		MAE:         rr.MAE,
-		MeanELoss:   rr.MeanELoss,
-
-		Drains:       drains,
-		CancelEvents: cancels,
-		PerClient:    rr.Clients,
-		Perf:         rr.Perf,
-	}
-}
-
-// runResult reconstitutes the in-memory result, re-attaching the live
-// Triple value (interfaces do not survive JSON, so journals store the
-// canonical name and the resuming grid supplies the value).
+// runResult rebuilds a cell's in-memory result from its record, fresh
+// or resumed alike, re-attaching the live Triple value (interfaces do not
+// survive JSON, so journals store the canonical name and the grid
+// supplies the value).
 func (r CellRecord) runResult(tr core.Triple) RunResult {
 	return RunResult{
 		Workload:    r.Workload,
@@ -122,8 +98,21 @@ func (r CellRecord) runResult(tr core.Triple) RunResult {
 		MAE:         r.MAE,
 		MeanELoss:   r.MeanELoss,
 		Clients:     r.PerClient,
+		Routing:     r.Federation,
+		Topology:    r.Topology,
+		Clusters:    r.Clusters,
 		Perf:        r.Perf,
 	}
+}
+
+// measure records a finished run's global measurements, read from the
+// collector that observed it.
+func (r *CellRecord) measure(col *metrics.Collector, res *sim.Result) {
+	r.AVEbsld, r.MaxBsld, r.MeanWait = col.AVEbsld(), col.MaxBsld(), col.MeanWait()
+	r.Utilization = col.Utilization(res.Makespan, res.MaxProcs)
+	r.Corrections, r.Canceled = res.Corrections, res.Canceled
+	r.MAE, r.MeanELoss = col.MAE(), col.MeanELoss()
+	r.Perf = res.Perf
 }
 
 // Journal is the result journal both grid harnesses append to.

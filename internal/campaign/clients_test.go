@@ -106,15 +106,14 @@ func TestCampaignSinglePopulationHasNoClients(t *testing.T) {
 // JSONL journal and reconstitutes, while the cell key ignores it — so
 // journals written before the clients axis existed still resume.
 func TestPerClientJournalRoundTrip(t *testing.T) {
-	rr := RunResult{
-		Workload: "KTH-SP2", Triple: core.EASY(),
-		AVEbsld: 12.5, MeanWait: 340,
-		Clients: []ClientMetrics{
-			{Name: "steady", Finished: 180, Share: 0.6, AVEbsld: 10, MaxBsld: 90, MeanWait: 300},
-			{Name: "bursty", Finished: 120, Share: 0.4, AVEbsld: 16, MaxBsld: 200, MeanWait: 400},
-		},
+	clients := []ClientMetrics{
+		{Name: "steady", Finished: 180, Share: 0.6, AVEbsld: 10, MaxBsld: 90, MeanWait: 300},
+		{Name: "bursty", Finished: 120, Share: 0.4, AVEbsld: 16, MaxBsld: 200, MeanWait: 400},
 	}
-	rec := newCellRecord("campaign", "", 300, rr, 0xabc, 0, 0)
+	rec := CellRecord{
+		Kind: "campaign", Workload: "KTH-SP2", JobCount: 300, Triple: core.EASY().Name(), Seed: 0xabc,
+		AVEbsld: 12.5, MeanWait: 340, PerClient: clients,
+	}
 	bare := rec
 	bare.PerClient = nil
 	if rec.Key() != bare.Key() {
@@ -129,8 +128,8 @@ func TestPerClientJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := back.runResult(core.EASY())
-	if !reflect.DeepEqual(got.Clients, rr.Clients) {
-		t.Fatalf("per-client metrics did not round-trip:\n in:  %+v\n out: %+v", rr.Clients, got.Clients)
+	if !reflect.DeepEqual(got.Clients, clients) {
+		t.Fatalf("per-client metrics did not round-trip:\n in:  %+v\n out: %+v", clients, got.Clients)
 	}
 	// Absent payloads stay absent (and omit the JSON key entirely).
 	b2, err := json.Marshal(bare)

@@ -27,7 +27,7 @@ func testFederations() []campaign.Federation {
 // triples grid and checks the result shape: grid order, per-cluster
 // splits consistent with the global counters, and the rendered table.
 func TestFederatedCampaignGrid(t *testing.T) {
-	c := &campaign.FederatedCampaign{
+	c := &campaign.Campaign{
 		Workloads:   testWorkloads(t, 200, "KTH-SP2"),
 		Federations: testFederations(),
 		Triples:     []core.Triple{core.EASY(), core.EASYPlusPlus()},
@@ -42,8 +42,8 @@ func TestFederatedCampaignGrid(t *testing.T) {
 	}
 	for i, r := range results {
 		wantFed := testFederations()[(i/2)%2]
-		if r.Federation != wantFed.Routing {
-			t.Fatalf("result %d federation %q, want %q (grid order broken)", i, r.Federation, wantFed.Routing)
+		if r.Routing != wantFed.Routing {
+			t.Fatalf("result %d routing %q, want %q (grid order broken)", i, r.Routing, wantFed.Routing)
 		}
 		if r.Topology == "" || len(r.Clusters) != 2 {
 			t.Fatalf("result %d missing platform identity: %+v", i, r)
@@ -69,8 +69,8 @@ func TestFederatedCampaignGrid(t *testing.T) {
 // and render byte-identical tables.
 func TestFederatedResumeEquivalence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fed.jsonl")
-	build := func(j *campaign.Journal, resume map[string]campaign.CellRecord) *campaign.FederatedCampaign {
-		return &campaign.FederatedCampaign{
+	build := func(j *campaign.Journal, resume map[string]campaign.CellRecord) *campaign.Campaign {
+		return &campaign.Campaign{
 			Workloads:   testWorkloads(t, 200, "KTH-SP2"),
 			Federations: testFederations(),
 			Triples:     []core.Triple{core.EASY(), core.PaperBest()},
@@ -144,7 +144,7 @@ func TestFederatedCellKeysDisjoint(t *testing.T) {
 func TestFederatedPerfCounters(t *testing.T) {
 	var mu sync.Mutex
 	var lastDone, sawTotal, calls int
-	c := &campaign.FederatedCampaign{
+	c := &campaign.Campaign{
 		Workloads:   testWorkloads(t, 200, "KTH-SP2"),
 		Federations: testFederations(),
 		Triples:     []core.Triple{core.EASY(), core.EASYPlusPlus()},
@@ -188,7 +188,7 @@ func TestFederatedPerfCounters(t *testing.T) {
 			t.Fatalf("result %d: Profile did not populate Perf.Stages", i)
 		}
 	}
-	out := report.FederatedPerfSummary(results)
+	out := report.PerfSummary(results)
 	for _, want := range []string{"per federation cluster", "round-robin", "least-loaded", "big", "slow", "Stage latency histograms"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("federated perf summary missing %q:\n%s", want, out)
@@ -201,7 +201,7 @@ func TestFederatedPerfCounters(t *testing.T) {
 // workload and triple, and route events name the cell's routing policy.
 func TestFederatedCampaignTracer(t *testing.T) {
 	col := &obs.Collector{}
-	c := &campaign.FederatedCampaign{
+	c := &campaign.Campaign{
 		Workloads:   testWorkloads(t, 150, "KTH-SP2"),
 		Federations: testFederations()[:1],
 		Triples:     []core.Triple{core.EASY(), core.EASYPlusPlus()},
@@ -235,8 +235,8 @@ func TestFederatedCampaignTracer(t *testing.T) {
 // preloading one's tables (decision identity is proven at the engine
 // layer; this pins the harness plumbing).
 func TestFederatedCampaignStream(t *testing.T) {
-	build := func(stream bool) *campaign.FederatedCampaign {
-		return &campaign.FederatedCampaign{
+	build := func(stream bool) *campaign.Campaign {
+		return &campaign.Campaign{
 			Workloads:   testWorkloads(t, 150, "SDSC-SP2"),
 			Federations: testFederations()[:1],
 			Triples:     []core.Triple{core.EASYPlusPlus()},

@@ -53,13 +53,11 @@ type Robustness struct {
 	// Workloads are the inputs.
 	Workloads []*trace.Workload
 	// Triples is the heuristic-triple set (defaults to
-	// DefaultRobustnessTriples when empty).
+	// DefaultRobustnessTriples when empty; see TripleAxis).
 	Triples []core.Triple
-	// Scenarios are the grid's columns. Empty falls back to Intensities.
+	// Scenarios are the grid's columns (one per scenario.Intensities
+	// level when empty; see ScenarioAxis).
 	Scenarios []Scenario
-	// Intensities is the disruption ladder used when Scenarios is empty
-	// (defaults to scenario.Intensities when both are empty).
-	Intensities []scenario.Intensity
 	// Seed drives the deterministic script generation.
 	Seed uint64
 	// Stream runs every cell on the bounded-memory engine; see
@@ -96,27 +94,36 @@ func DefaultRobustnessTriples() []core.Triple {
 	}
 }
 
-// Run executes the grid on the shared cancellable executor. Results are
-// ordered workload-major, intensity-middle, triple-minor regardless of
-// completion order. Cancelling ctx stops the grid gracefully; on error
-// Run returns every completed cell (in grid order) plus the joined
-// error — see Campaign.Run.
+// TripleAxis returns the triples Run grids over: Triples, or
+// DefaultRobustnessTriples when it is empty.
+func (r *Robustness) TripleAxis() []core.Triple {
+	if len(r.Triples) > 0 {
+		return r.Triples
+	}
+	return DefaultRobustnessTriples()
+}
+
+// ScenarioAxis returns the columns Run grids over: Scenarios, or one
+// generated column per scenario.Intensities level when it is empty.
+func (r *Robustness) ScenarioAxis() []Scenario {
+	if len(r.Scenarios) > 0 {
+		return r.Scenarios
+	}
+	out := make([]Scenario, len(scenario.Intensities))
+	for i, in := range scenario.Intensities {
+		out[i] = Scenario{Intensity: in}
+	}
+	return out
+}
+
+// Run executes the grid on the shared cancellable cell loop. Results
+// are ordered workload-major, intensity-middle, triple-minor regardless
+// of completion order. Cancelling ctx stops the grid gracefully; on
+// error Run returns every completed cell (in grid order) plus the
+// joined error — see Campaign.Run.
 func (r *Robustness) Run(ctx context.Context) ([]RobustnessResult, error) {
-	triples := r.Triples
-	if len(triples) == 0 {
-		triples = DefaultRobustnessTriples()
-	}
-	scenarios := r.Scenarios
-	if len(scenarios) == 0 {
-		intensities := r.Intensities
-		if len(intensities) == 0 {
-			intensities = scenario.Intensities
-		}
-		scenarios = make([]Scenario, len(intensities))
-		for i, in := range intensities {
-			scenarios[i] = Scenario{Intensity: in}
-		}
-	}
+	triples, scenarios := r.TripleAxis(), r.ScenarioAxis()
+	ns, nt := len(scenarios), len(triples)
 
 	// One script per (workload, column), shared by every triple in the
 	// cell so the disruption sequence is identical across policies.
@@ -124,77 +131,42 @@ func (r *Robustness) Run(ctx context.Context) ([]RobustnessResult, error) {
 	// before, independent of the per-cell grid seeds; cell keys still
 	// fingerprint r.Seed (via the derived cell seed), so a journal from
 	// a different -seed run can never satisfy a resume.
-	scripts := make([]*scenario.Script, len(r.Workloads)*len(scenarios))
+	scripts := make([]*scenario.Script, len(r.Workloads)*ns)
 	for wi, w := range r.Workloads {
 		for ii, sc := range scenarios {
 			if sc.Script != nil {
-				scripts[wi*len(scenarios)+ii] = sc.Script
+				scripts[wi*ns+ii] = sc.Script
 				continue
 			}
 			seed := r.Seed ^ (uint64(wi)*0x9e3779b97f4a7c15 + uint64(ii)*0xbf58476d1ce4e5b9)
-			scripts[wi*len(scenarios)+ii] = scenario.Generate(w, sc.Intensity, seed)
+			scripts[wi*ns+ii] = scenario.Generate(w, sc.Intensity, seed)
 		}
 	}
 
-	results := make([]RobustnessResult, len(r.Workloads)*len(scenarios)*len(triples))
-	completed := make([]bool, len(results))
-	split := func(i int) (wi, ii, ti int) {
-		ti = i % len(triples)
-		ii = (i / len(triples)) % len(scenarios)
-		wi = i / (len(triples) * len(scenarios))
-		return
-	}
-	for i := range results {
-		wi, ii, ti := split(i)
-		key := CellRecord{
-			Kind: "robustness", Workload: r.Workloads[wi].Name,
-			JobCount: len(r.Workloads[wi].Jobs), Triple: triples[ti].Name(),
-			Intensity: scenarios[ii].Name(), Seed: cellSeed(r.Seed, i),
-		}.Key()
-		if rec, ok := r.Resume[key]; ok {
-			results[i] = RobustnessResult{
-				RunResult:    rec.runResult(triples[ti]),
-				Intensity:    rec.Intensity,
-				Drains:       rec.Drains,
-				CancelEvents: rec.CancelEvents,
-			}
-			completed[i] = true
-		}
-	}
-
+	// Cell i runs triple i%nt under script i/nt, on workload i/(ns*nt).
 	g := grid{
-		total:       len(results),
+		total:       len(scripts) * nt,
 		parallelism: r.Parallelism,
 		seed:        r.Seed,
 		progress:    r.Progress,
-		skip:        func(i int) bool { return completed[i] },
+		journal:     r.Journal,
+		resume:      r.Resume,
 	}
-	err := g.run(ctx, func(i int, seed uint64) error {
-		wi, ii, ti := split(i)
-		script := scripts[wi*len(scenarios)+ii]
-		run, err := runOne(r.Workloads[wi], triples[ti], script, r.Stream, r.Tracer, r.Profile)
-		if err != nil {
-			return err
+	return runCells(ctx, g, func(i int) CellRecord {
+		w := r.Workloads[i/(ns*nt)]
+		drains, _, cancels := scripts[i/nt].Counts()
+		return CellRecord{
+			Kind: "robustness", Workload: w.Name, JobCount: len(w.Jobs), Triple: triples[i%nt].Name(),
+			Intensity: scenarios[(i/nt)%ns].Name(), Drains: drains, CancelEvents: cancels,
 		}
-		drains, _, cancels := script.Counts()
-		results[i] = RobustnessResult{
-			RunResult:    run,
-			Intensity:    scenarios[ii].Name(),
-			Drains:       drains,
-			CancelEvents: cancels,
+	}, func(i int, rec *CellRecord) error {
+		return runOne(rec, r.Workloads[i/(ns*nt)], triples[i%nt], scripts[i/nt], r.Stream, r.Tracer, r.Profile)
+	}, func(i int, rec CellRecord) RobustnessResult {
+		return RobustnessResult{
+			RunResult:    rec.runResult(triples[i%nt]),
+			Intensity:    rec.Intensity,
+			Drains:       rec.Drains,
+			CancelEvents: rec.CancelEvents,
 		}
-		completed[i] = true
-		if r.Journal != nil {
-			rec := newCellRecord("robustness", scenarios[ii].Name(),
-				len(r.Workloads[wi].Jobs), run, seed, drains, cancels)
-			if jerr := r.Journal.Append(rec); jerr != nil {
-				return jerr
-			}
-		}
-		return nil
 	})
-	if err != nil {
-		return compact(results, completed), err
-	}
-	return results, nil
 }

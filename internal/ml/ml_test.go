@@ -465,3 +465,66 @@ func BenchmarkModelObserve(b *testing.B) {
 		m.Observe(x, 3600, 8)
 	}
 }
+
+func trainSample(m *Model, n int, seed uint64) {
+	src := rng.New(seed)
+	for i := 0; i < n; i++ {
+		req := 600 + src.Float64()*30000
+		actual := req * 0.25
+		x := make([]float64, FeatureCount)
+		x[FeatRequestedTime] = req
+		x[FeatProcs] = 1 + src.Float64()*31
+		m.Observe(x, actual, x[FeatProcs])
+	}
+}
+
+func TestLossByName(t *testing.T) {
+	for _, l := range AllLosses() {
+		got, err := LossByName(l.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != l {
+			t.Fatalf("round trip failed for %s", l.Name())
+		}
+	}
+	if _, err := LossByName("bogus"); err == nil {
+		t.Fatal("bogus loss resolved")
+	}
+}
+
+func TestLinearBasisDegree(t *testing.T) {
+	b := NewBasisDegree(3, 1)
+	out := b.Expand([]float64{2, 3, 5})
+	want := []float64{1, 2, 3, 5}
+	if len(out) != len(want) {
+		t.Fatalf("linear basis dim %d, want %d", len(out), len(want))
+	}
+	for i := range want {
+		if out[i] != want[i] {
+			t.Fatalf("linear basis wrong at %d: %v", i, out)
+		}
+	}
+}
+
+func TestBasisDegreeValidation(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("degree 3 accepted")
+		}
+	}()
+	NewBasisDegree(3, 3)
+}
+
+func TestModelDegree1Config(t *testing.T) {
+	cfg := DefaultConfig(SquaredLoss)
+	cfg.Degree = 1
+	m := NewModel(cfg)
+	trainSample(m, 200, 5)
+	x := make([]float64, FeatureCount)
+	x[FeatRequestedTime] = 10000
+	x[FeatProcs] = 4
+	if p := m.Predict(x); p == 0 {
+		t.Fatal("degree-1 model did not learn")
+	}
+}

@@ -8,20 +8,20 @@ import (
 	"repro/internal/campaign"
 )
 
-// FederatedTable renders a federated campaign: one block per workload,
-// one sub-block per federation (routing policy + cluster topology),
+// FederatedTable renders a federated campaign's results: one block per
+// workload, one sub-block per federation (routing policy + cluster topology),
 // triples as rows. Each row carries the global AVEbsld, mean wait and
 // utilization followed by one AVEbsld/jobs column per cluster, so a
 // routing policy's load split is visible next to the score it buys.
-func FederatedTable(results []campaign.FederatedResult) string {
+func FederatedTable(results []campaign.RunResult) string {
 	var b strings.Builder
 	b.WriteString("Federated campaign: global and per-cluster metrics per triple\n")
 
-	type fedKey struct{ workload, federation, topology string }
-	groups := map[fedKey][]campaign.FederatedResult{}
+	type fedKey struct{ workload, routing, topology string }
+	groups := map[fedKey][]campaign.RunResult{}
 	var order []fedKey
 	for _, r := range results {
-		k := fedKey{r.Workload, r.Federation, r.Topology}
+		k := fedKey{r.Workload, r.Routing, r.Topology}
 		if _, seen := groups[k]; !seen {
 			order = append(order, k)
 		}
@@ -35,7 +35,7 @@ func FederatedTable(results []campaign.FederatedResult) string {
 			fmt.Fprintf(&b, "\n%s:\n", k.workload)
 			lastWorkload = k.workload
 		}
-		fmt.Fprintf(&b, "  routing=%s topology=%s\n", rs[0].Routing, k.topology)
+		fmt.Fprintf(&b, "  routing=%s topology=%s\n", k.routing, k.topology)
 		tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(tw, "  Triple\tAVEbsld\twait[s]\tutil")
 		for _, c := range rs[0].Clusters {

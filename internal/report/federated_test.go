@@ -12,17 +12,17 @@ import (
 // workload, one sub-block per (federation, topology), triples as rows
 // with a per-cluster column each.
 func TestFederatedTable(t *testing.T) {
-	row := func(w, triple string, tr core.Triple, ave float64) campaign.FederatedResult {
-		return campaign.FederatedResult{
-			RunResult:  campaign.RunResult{Workload: w, Triple: tr, AVEbsld: ave, MeanWait: 120, Utilization: 0.7},
-			Federation: "fed", Topology: "2x64", Routing: "least-loaded",
+	row := func(w, triple string, tr core.Triple, ave float64) campaign.RunResult {
+		return campaign.RunResult{
+			Workload: w, Triple: tr, AVEbsld: ave, MeanWait: 120, Utilization: 0.7,
+			Topology: "2x64", Routing: "least-loaded",
 			Clusters: []campaign.ClusterMetrics{
 				{Name: "alpha", Finished: 10, AVEbsld: ave},
 				{Name: "beta", Finished: 20, AVEbsld: ave / 2},
 			},
 		}
 	}
-	got := FederatedTable([]campaign.FederatedResult{
+	got := FederatedTable([]campaign.RunResult{
 		row("KTH-SP2", "easy", core.EASY(), 8.0),
 		row("KTH-SP2", "easy++", core.EASYPlusPlus(), 4.0),
 		row("CTC-SP2", "easy", core.EASY(), 6.0),

@@ -17,6 +17,9 @@ import (
 // carries these counters through its results (and journal), so the
 // summary doubles as a quick performance record of the engine on real
 // grids — the same quantities the CI perf gate tracks via benchmarks.
+// Profiled cells add the stage histograms, and federated cells the
+// per-cluster split of events and Pick calls — so -perf tells both how
+// hard the engine worked and where the routers sent that work.
 func PerfSummary(results []campaign.RunResult) string {
 	var b strings.Builder
 	tw := tabwriter.NewWriter(&b, 2, 0, 2, ' ', tabwriter.AlignRight)
@@ -55,6 +58,9 @@ func PerfSummary(results []campaign.RunResult) string {
 	if stages := stageSummary(results); stages != "" {
 		out += "\n" + stages
 	}
+	if clusters := clusterSummary(results); clusters != "" {
+		out += "\n" + clusters
+	}
 	return out
 }
 
@@ -88,19 +94,11 @@ func stageSummary(results []campaign.RunResult) string {
 	return "Stage latency histograms (across cells; quantiles count-weighted):\n" + b.String()
 }
 
-// FederatedPerfSummary renders the performance counters of a federated
-// grid: the per-workload table over the flattened cells (including
-// stage histograms when profiled), then the per-cluster split of events
-// and Pick calls aggregated across cells — so -perf tells both how hard
-// the engine worked and where the routers sent that work.
-func FederatedPerfSummary(results []campaign.FederatedResult) string {
-	flat := make([]campaign.RunResult, len(results))
-	for i := range results {
-		flat[i] = results[i].RunResult
-	}
-	out := PerfSummary(flat)
-
-	type key struct{ federation, cluster string }
+// clusterSummary aggregates the per-cluster routed and finished jobs,
+// events and Pick calls of federated cells across the grid, one row per
+// (routing policy, cluster). Single-machine results render nothing.
+func clusterSummary(results []campaign.RunResult) string {
+	type key struct{ routing, cluster string }
 	type agg struct {
 		key
 		routed, finished  int
@@ -110,7 +108,7 @@ func FederatedPerfSummary(results []campaign.FederatedResult) string {
 	byKey := make(map[key]*agg)
 	for i := range results {
 		for _, cm := range results[i].Clusters {
-			k := key{results[i].Federation, cm.Name}
+			k := key{results[i].Routing, cm.Name}
 			a := byKey[k]
 			if a == nil {
 				a = &agg{key: k}
@@ -124,7 +122,7 @@ func FederatedPerfSummary(results []campaign.FederatedResult) string {
 		}
 	}
 	if len(order) == 0 {
-		return out
+		return ""
 	}
 	var b strings.Builder
 	tw := tabwriter.NewWriter(&b, 2, 0, 2, ' ', tabwriter.AlignRight)
@@ -132,8 +130,8 @@ func FederatedPerfSummary(results []campaign.FederatedResult) string {
 	for _, k := range order {
 		a := byKey[k]
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t\n",
-			k.federation, k.cluster, a.routed, a.finished, a.events, a.pickCalls)
+			k.routing, k.cluster, a.routed, a.finished, a.events, a.pickCalls)
 	}
 	tw.Flush()
-	return out + "\nPerformance counters (per federation cluster, across cells):\n" + b.String()
+	return "Performance counters (per federation cluster, across cells):\n" + b.String()
 }

@@ -61,30 +61,32 @@ func TestPerfSummaryStageHistograms(t *testing.T) {
 	}
 }
 
+// TestFederatedPerfSummary: federated cells add the per-cluster split
+// of events and Pick calls, aggregated across cells, to PerfSummary.
 func TestFederatedPerfSummary(t *testing.T) {
-	results := []campaign.FederatedResult{
+	results := []campaign.RunResult{
 		{
-			RunResult:  campaign.RunResult{Workload: "KTH-SP2", Triple: core.EASY(), Perf: sim.Perf{Events: 900, PickCalls: 400, WallNanos: 1e9}},
-			Federation: "two-uniform", Routing: "round-robin",
+			Workload: "KTH-SP2", Triple: core.EASY(), Perf: sim.Perf{Events: 900, PickCalls: 400, WallNanos: 1e9},
+			Routing: "round-robin",
 			Clusters: []campaign.ClusterMetrics{
 				{Name: "c0", Routed: 60, Finished: 58, Events: 500, PickCalls: 220},
 				{Name: "c1", Routed: 40, Finished: 40, Events: 400, PickCalls: 180},
 			},
 		},
 		{
-			RunResult:  campaign.RunResult{Workload: "KTH-SP2", Triple: core.EASYPlusPlus(), Perf: sim.Perf{Events: 1100, PickCalls: 600, WallNanos: 1e9}},
-			Federation: "two-uniform", Routing: "round-robin",
+			Workload: "KTH-SP2", Triple: core.EASYPlusPlus(), Perf: sim.Perf{Events: 1100, PickCalls: 600, WallNanos: 1e9},
+			Routing: "round-robin",
 			Clusters: []campaign.ClusterMetrics{
 				{Name: "c0", Routed: 60, Finished: 60, Events: 600, PickCalls: 330},
 				{Name: "c1", Routed: 40, Finished: 38, Events: 500, PickCalls: 270},
 			},
 		},
 	}
-	out := FederatedPerfSummary(results)
+	out := PerfSummary(results)
 	for _, want := range []string{
 		"Performance counters (per workload)",
 		"Performance counters (per federation cluster",
-		"two-uniform", "c0", "c1",
+		"round-robin", "c0", "c1",
 		// Aggregated across the two cells: c0 events 1100, picks 550;
 		// c1 events 900, picks 450; routed 120/80.
 		"1100", "550", "900", "450", "120", "80",
@@ -93,11 +95,9 @@ func TestFederatedPerfSummary(t *testing.T) {
 			t.Errorf("federated summary missing %q:\n%s", want, out)
 		}
 	}
-	// No clusters recorded (old journals without per-cluster counters
-	// still resume): falls back to the flat table alone.
-	bare := FederatedPerfSummary([]campaign.FederatedResult{{
-		RunResult: campaign.RunResult{Workload: "X", Triple: core.EASY()},
-	}})
+	// No clusters recorded (single-machine cells, or old journals without
+	// per-cluster counters): the flat table alone.
+	bare := PerfSummary([]campaign.RunResult{{Workload: "X", Triple: core.EASY()}})
 	if strings.Contains(bare, "per federation cluster") {
 		t.Errorf("clusterless summary grew a cluster table:\n%s", bare)
 	}

@@ -75,6 +75,7 @@ func TestRoutingScalarAndDefault(t *testing.T) {
 func TestClustersValidation(t *testing.T) {
 	loadErr(t, "kind: robustness\nclusters:\n  - 100\n", "clusters only apply to campaign", "3")
 	loadErr(t, "routing: round-robin\n", "routing needs clusters", "1")
+	loadErr(t, "clusters:\n  - 100\noutput:\n  figures: [3]\n", "figures do not apply to a federated campaign", "4")
 	loadErr(t, "clusters: []\n", "clusters must not be empty", "1")
 	loadErr(t, "clusters:\n  - 100\nrouting: shortest-queue-first\n", `unknown routing policy "shortest-queue-first"`, "3")
 	loadErr(t, "clusters:\n  - 100\nrouting:\n  - spillover\n  - spillover\n", `duplicate routing policy "spillover"`, "5")
@@ -128,9 +129,9 @@ func TestCheckedInFederatedSpec(t *testing.T) {
 	if s.Output.Journal == "" || !s.Output.Resume {
 		t.Errorf("federated spec should journal and resume: %+v", s.Output)
 	}
-	fc := s.FederatedCampaign(nil)
-	if len(fc.Federations) != len(s.Routings) || fc.Seed != s.Seed {
-		t.Errorf("FederatedCampaign wiring: %+v", fc)
+	c := s.Campaign(nil)
+	if len(c.Federations) != len(s.Routings) || c.Seed != s.Seed {
+		t.Errorf("federated Campaign wiring: %+v", c)
 	}
 	if !strings.Contains(s.Path, "federated.yaml") {
 		t.Errorf("path = %q", s.Path)

@@ -59,9 +59,6 @@ func (s *Spec) decode(tree *node) error {
 		if v < 1 {
 			return n.errf("repeats must be >= 1, got %d", v)
 		}
-		if v > 1 && s.Kind != "robustness" {
-			return n.errf("repeats only applies to robustness grids (the undisrupted campaign is seed-independent)")
-		}
 		s.Repeats = v
 	}
 	if n := tree.at("jobs"); n != nil {
@@ -103,25 +100,16 @@ func (s *Spec) decode(tree *node) error {
 		}
 	}
 	if n := tree.at("scenarios"); n != nil {
-		if s.Kind != "robustness" {
-			return n.errf("scenarios only apply to robustness grids (set kind: robustness)")
-		}
 		if err := s.decodeScenarios(n); err != nil {
 			return err
 		}
 	}
 	if n := tree.at("clusters"); n != nil {
-		if s.Kind != "campaign" {
-			return n.errf("clusters only apply to campaign grids (the robustness sweep is single-machine)")
-		}
 		if err := s.decodeClusters(n); err != nil {
 			return err
 		}
 	}
 	if n := tree.at("routing"); n != nil {
-		if tree.at("clusters") == nil {
-			return n.errf("routing needs clusters (a single-machine run has nothing to route)")
-		}
 		if err := s.decodeRouting(n); err != nil {
 			return err
 		}
@@ -139,6 +127,18 @@ func (s *Spec) decode(tree *node) error {
 	if n := tree.at("serve"); n != nil {
 		if err := s.decodeServe(n); err != nil {
 			return err
+		}
+	}
+	// The lines Check cites when a rule breaks in this file.
+	s.pos = map[string]string{}
+	for key, n := range map[string]*node{
+		"repeats": tree.at("repeats"), "scenarios": tree.at("scenarios"),
+		"clusters": tree.at("clusters"), "routing": tree.at("routing"),
+		"resume": tree.at("output").at("resume"), "tables": tree.at("output").at("tables"),
+		"figures": tree.at("output").at("figures"),
+	} {
+		if n != nil {
+			s.pos[key] = fmt.Sprintf("%s:%d", n.file, n.line)
 		}
 	}
 	return nil
@@ -1010,37 +1010,19 @@ func (s *Spec) decodeOutput(n *node) error {
 		}
 		s.Output.Perf = v
 	}
-	for _, sel := range []struct {
-		key   string
-		valid []int
-		dst   *[]int
-	}{
-		{"tables", []int{1, 6, 7, 8}, &s.Output.Tables},
-		{"figures", []int{3, 4, 5}, &s.Output.Figures},
-	} {
-		tn := n.at(sel.key)
-		if tn == nil {
-			continue
-		}
-		if s.Kind != "campaign" {
-			return tn.errf("%s only apply to campaign grids (robustness renders its own table)", sel.key)
-		}
-		vals, err := tn.toIntList()
+	if tn := n.at("tables"); tn != nil {
+		v, err := tn.toIntList()
 		if err != nil {
 			return err
 		}
-		for _, v := range vals {
-			ok := false
-			for _, want := range sel.valid {
-				if v == want {
-					ok = true
-				}
-			}
-			if !ok {
-				return tn.errf("unknown %s entry %d (have %v)", sel.key, v, sel.valid)
-			}
+		s.Output.Tables = v
+	}
+	if fn := n.at("figures"); fn != nil {
+		v, err := fn.toIntList()
+		if err != nil {
+			return err
 		}
-		*sel.dst = vals
+		s.Output.Figures = v
 	}
 	return nil
 }

@@ -20,11 +20,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/platform"
-	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -70,6 +70,10 @@ type Spec struct {
 	Trace Trace
 	// Serve carries the live-daemon settings (nil = no serve section).
 	Serve *Serve
+
+	// pos holds the file:line of each field Check's rules name, for the
+	// fields the spec file set; a field set by a flag has none.
+	pos map[string]string
 }
 
 // Serve is the spec's serve section: the configuration cmd/schedd
@@ -151,7 +155,8 @@ type Overrides struct {
 	Trace *string
 }
 
-// Apply overlays the overrides onto the spec.
+// Apply overlays the overrides onto the spec. A field it sets is the
+// flag's from then on: Check names it by its flag.
 func (s *Spec) Apply(o Overrides) {
 	if o.Jobs != nil {
 		s.Jobs = *o.Jobs
@@ -177,21 +182,26 @@ func (s *Spec) Apply(o Overrides) {
 	}
 	if o.Resume != nil {
 		s.Output.Resume = *o.Resume
+		delete(s.pos, "resume")
 	}
 	if o.Perf != nil {
 		s.Output.Perf = *o.Perf
 	}
 	if len(o.Tables) > 0 {
 		s.Output.Tables = o.Tables
+		delete(s.pos, "tables")
 	}
 	if len(o.Figures) > 0 {
 		s.Output.Figures = o.Figures
+		delete(s.pos, "figures")
 	}
 	if len(o.Clusters) > 0 {
 		s.Clusters = o.Clusters
+		delete(s.pos, "clusters")
 	}
 	if len(o.Routings) > 0 {
 		s.Routings = o.Routings
+		delete(s.pos, "routing")
 	}
 	if o.Trace != nil {
 		s.Trace.File = *o.Trace
@@ -208,7 +218,75 @@ func Load(path string) (*Spec, error) {
 	if err := s.decode(tree); err != nil {
 		return nil, err
 	}
+	if err := s.Check(); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// flagNames names the command-line flag that sets each field Check's
+// rules name, for the fields a flag can set.
+var flagNames = map[string]string{
+	"clusters": "-clusters", "routing": "-routing", "resume": "-resume",
+	"tables": "-table", "figures": "-figure",
+}
+
+// Check enforces the grid's cross-field rules: the ones that tie the
+// kind, platform, selections and journal together, which a flag can
+// break as easily as a file. Load runs it on the file; a caller that
+// lays flags over the spec (Apply) runs it again. A broken rule names
+// the field as the file spells it, at its file:line, or by the flag
+// that set it.
+func (s *Spec) Check() error {
+	robustness, federated := s.Kind == "robustness", s.Federated()
+	switch {
+	case s.Repeats > 1 && !robustness:
+		return s.ruleErr("repeats", "%s only applies to robustness grids (the undisrupted campaign is seed-independent)")
+	case len(s.Scenarios) > 0 && !robustness:
+		return s.ruleErr("scenarios", "%s only apply to robustness grids (set kind: robustness)")
+	case federated && robustness:
+		return s.ruleErr("clusters", "%s only apply to campaign grids (the robustness sweep is single-machine)")
+	case len(s.Routings) > 0 && !federated:
+		return s.ruleErr("routing", "%s needs clusters (a single-machine grid has nothing to route)")
+	}
+	for _, sel := range []struct {
+		key      string
+		selected []int
+		valid    []int
+	}{
+		{"tables", s.Output.Tables, []int{1, 6, 7, 8}},
+		{"figures", s.Output.Figures, []int{3, 4, 5}},
+	} {
+		switch {
+		case len(sel.selected) == 0:
+		case robustness:
+			return s.ruleErr(sel.key, "%s only apply to campaign grids (robustness renders its own table)")
+		case federated:
+			return s.ruleErr(sel.key, "%s do not apply to a federated campaign (it renders the federated table)")
+		}
+		for _, v := range sel.selected {
+			if !slices.Contains(sel.valid, v) {
+				return s.ruleErr(sel.key, "unknown %s entry %d (have %v)", v, sel.valid)
+			}
+		}
+	}
+	if s.Output.Resume && s.Output.Journal == "" {
+		return s.ruleErr("resume", "%s needs a journal: pass -out (or set output.journal in the spec)")
+	}
+	return nil
+}
+
+// ruleErr reports a broken rule about the field key. format's first
+// verb receives the field's name: the key at its file:line when the
+// spec file set it, else the flag that set it.
+func (s *Spec) ruleErr(key, format string, args ...any) error {
+	if pos, ok := s.pos[key]; ok {
+		return fmt.Errorf("%s: "+format, append([]any{pos, key}, args...)...)
+	}
+	if flag, ok := flagNames[key]; ok {
+		key = flag
+	}
+	return fmt.Errorf(format, append([]any{key}, args...)...)
 }
 
 // loadTree parses path and merges its include chain, detecting cycles.
@@ -421,11 +499,13 @@ func (s *Spec) GenerateWorkloads() ([]*trace.Workload, error) {
 	return ws, nil
 }
 
-// Campaign builds the paper-table harness from the spec.
+// Campaign builds the paper-table harness from the spec, on the
+// spec's federated platforms when it has clusters.
 func (s *Spec) Campaign(ws []*trace.Workload) *campaign.Campaign {
 	return &campaign.Campaign{
 		Workloads:   ws,
 		Triples:     s.Triples,
+		Federations: s.Federations(),
 		Parallelism: s.Parallelism,
 		Seed:        s.Seed,
 		Stream:      s.Stream,
@@ -455,19 +535,6 @@ func (s *Spec) Federations() []campaign.Federation {
 	return out
 }
 
-// FederatedCampaign builds the federated paper-table harness from the
-// spec. Callers guard on Federated().
-func (s *Spec) FederatedCampaign(ws []*trace.Workload) *campaign.FederatedCampaign {
-	return &campaign.FederatedCampaign{
-		Workloads:   ws,
-		Federations: s.Federations(),
-		Triples:     s.Triples,
-		Parallelism: s.Parallelism,
-		Seed:        s.Seed,
-		Stream:      s.Stream,
-	}
-}
-
 // Robustness builds the disruption-sweep harness from the spec for one
 // repeat (repeat 0 runs at Seed, repeat r at Seed+r).
 func (s *Spec) Robustness(ws []*trace.Workload, repeat int) *campaign.Robustness {
@@ -483,13 +550,10 @@ func (s *Spec) Robustness(ws []*trace.Workload, repeat int) *campaign.Robustness
 
 // TripleCount returns the grid's triple-axis size (resolving defaults).
 func (s *Spec) TripleCount() int {
-	if len(s.Triples) > 0 {
-		return len(s.Triples)
-	}
 	if s.Kind == "robustness" {
-		return len(campaign.DefaultRobustnessTriples())
+		return len(s.Robustness(nil, 0).TripleAxis())
 	}
-	return len(core.CampaignTriples())
+	return len(s.Campaign(nil).TripleAxis())
 }
 
 // ScenarioCount returns the scenario-axis size (1 for campaign grids).
@@ -497,8 +561,5 @@ func (s *Spec) ScenarioCount() int {
 	if s.Kind != "robustness" {
 		return 1
 	}
-	if len(s.Scenarios) > 0 {
-		return len(s.Scenarios)
-	}
-	return len(scenario.Intensities)
+	return len(s.Robustness(nil, 0).ScenarioAxis())
 }

@@ -92,6 +92,7 @@ func TestValueValidation(t *testing.T) {
 	loadErr(t, "scenarios:\n  - light\n", "scenarios only apply to robustness", "2")
 	loadErr(t, "output:\n  tables: [2]\n", "unknown tables entry 2", "2")
 	loadErr(t, "kind: robustness\noutput:\n  tables: [1]\n", "tables only apply to campaign", "3")
+	loadErr(t, "output:\n  resume: true\n", "resume needs a journal", "2")
 	loadErr(t, `
 kind: robustness
 scenarios:
