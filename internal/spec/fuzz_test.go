@@ -9,7 +9,7 @@ import (
 // FuzzSpecYAML throws arbitrary input at the strict YAML-subset parser
 // and the schema decoder: malformed input must come back as a positional
 // error, never a panic, and whatever decodes must also resolve workload
-// configurations without panicking. The checked-in specs seed the
+// configurations and face the grid's rules without panicking. The checked-in specs seed the
 // corpus so the fuzzer starts from every accepted construct.
 func FuzzSpecYAML(f *testing.F) {
 	specDir := filepath.Join("..", "..", "specs")
@@ -62,5 +62,6 @@ func FuzzSpecYAML(f *testing.F) {
 		// A spec that decodes must resolve (or reject) its workload set
 		// without panicking; generation is deliberately not exercised.
 		_, _ = s.WorkloadConfigs()
+		_ = s.Check()
 	})
 }

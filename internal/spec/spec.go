@@ -8,7 +8,8 @@
 // way), with the including file's fields overriding the included ones;
 // command-line flags override both. Validation is strict — unknown
 // fields, bad names and malformed values are rejected with
-// file:line-positional errors.
+// file:line-positional errors, and Check holds the rules that tie the
+// grid's fields together once the flags are applied.
 //
 // The accepted format is a strict YAML subset parsed by this package
 // (see yaml.go); the workload and clients schema is documented in
@@ -218,9 +219,6 @@ func Load(path string) (*Spec, error) {
 	if err := s.decode(tree); err != nil {
 		return nil, err
 	}
-	if err := s.Check(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -233,10 +231,10 @@ var flagNames = map[string]string{
 
 // Check enforces the grid's cross-field rules: the ones that tie the
 // kind, platform, selections and journal together, which a flag can
-// break as easily as a file. Load runs it on the file; a caller that
-// lays flags over the spec (Apply) runs it again. A broken rule names
-// the field as the file spells it, at its file:line, or by the flag
-// that set it.
+// break as easily as a file. A caller that runs the grid runs it once,
+// after laying its flags over the spec (Apply), so the file and the
+// flags answer to the same rules. A broken rule names the field as the
+// file spells it, at its file:line, or by the flag that set it.
 func (s *Spec) Check() error {
 	robustness, federated := s.Kind == "robustness", s.Federated()
 	switch {

@@ -19,12 +19,15 @@ func writeSpec(t *testing.T, dir, name, content string) string {
 	return path
 }
 
-// loadErr loads a one-off spec and returns the error, which must be
-// non-nil and positional (name:line).
+// loadErr loads a one-off spec and checks the grid's rules on it; the
+// error must be non-nil and positional (name:line).
 func loadErr(t *testing.T, content, wantSub string, wantLine string) {
 	t.Helper()
 	path := writeSpec(t, t.TempDir(), "bad.yaml", content)
-	_, err := Load(path)
+	s, err := Load(path)
+	if err == nil {
+		err = s.Check()
+	}
 	if err == nil {
 		t.Fatalf("spec accepted:\n%s", content)
 	}
