@@ -58,7 +58,7 @@ func TestPinnedJournalsResume(t *testing.T) {
 	}
 }
 
-// TestPinnedJournalsFresh reruns each pinned grid from scratch: the
+// TestPinnedJournalsFresh reruns each pinned grid with no journal: the
 // report is the pinned one, and every journal line equals its pinned
 // line field for field except the simulation's wall time.
 func TestPinnedJournalsFresh(t *testing.T) {
