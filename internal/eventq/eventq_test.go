@@ -247,8 +247,8 @@ func TestRandomizedVsStableSort(t *testing.T) {
 func TestReserveKeepsPoolAndOrder(t *testing.T) {
 	var q Queue[int]
 	q.Reserve(64)
-	if got := cap(q.items); got < 64 {
-		t.Fatalf("cap after Reserve(64) = %d", got)
+	if got := len(q.fifo); got < 64 {
+		t.Fatalf("FIFO slots after Reserve(64) = %d", got)
 	}
 	// AllocsPerRun calls the function twice (one warm-up run): 64 pushes.
 	n := 0
@@ -262,10 +262,10 @@ func TestReserveKeepsPoolAndOrder(t *testing.T) {
 		t.Fatalf("pushes into reserved capacity allocated %v times", allocs)
 	}
 	// Reserve below current capacity is a no-op.
-	before := cap(q.items)
+	before := len(q.fifo)
 	q.Reserve(8)
-	if cap(q.items) != before {
-		t.Fatalf("shrinking Reserve changed capacity %d -> %d", before, cap(q.items))
+	if len(q.fifo) != before {
+		t.Fatalf("shrinking Reserve changed capacity %d -> %d", before, len(q.fifo))
 	}
 	// Reserving more than the current capacity copies the pending events
 	// and keeps their same-instant insertion order.
