@@ -56,9 +56,11 @@ type clusterState struct {
 	speed float64
 
 	machine *platform.Machine
-	// queue is the waiting queue in FCFS order, strictly increasing in
-	// job.Seq (see enqueue).
+	// queue[head:] is the waiting queue in FCFS order, strictly
+	// increasing in job.Seq (see enqueue). Removing the head advances
+	// head; the slots before it are nil.
 	queue     []*job.Job
+	head      int
 	policy    sched.Policy
 	predictor predict.Predictor
 
@@ -204,7 +206,7 @@ func (e *engine) route(j *job.Job, now int64) *clusterState {
 		return e.clusters[0]
 	}
 	for i, cs := range e.clusters {
-		e.views[i] = sched.ClusterState{Name: cs.name, Machine: cs.machine, QueueLen: len(cs.queue)}
+		e.views[i] = sched.ClusterState{Name: cs.name, Machine: cs.machine, QueueLen: len(cs.waiting())}
 	}
 	pick := e.router.Route(j, now, e.views)
 	if pick < 0 || pick >= len(e.clusters) || e.clusters[pick].machine.Total() < j.Procs {
@@ -241,32 +243,56 @@ func (e *engine) startJob(c *clusterState, j *job.Job, now int64) {
 	}
 }
 
+// waiting returns c's waiting queue in FCFS order.
+func (c *clusterState) waiting() []*job.Job { return c.queue[c.head:] }
+
 // enqueue appends j to c's waiting queue, numbering it after every job
-// that joined any queue of the run before it.
+// that joined any queue of the run before it. When the array is full
+// and its vacated prefix is at least as long as the queue, the queue
+// slides down over it instead of growing, so each slide is paid for by
+// the head removals before it and a steady queue allocates nothing.
 func (e *engine) enqueue(c *clusterState, j *job.Job) {
 	e.seq++
 	j.Seq = e.seq
+	if len(c.queue) == cap(c.queue) && 2*c.head >= len(c.queue) {
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:])
+		c.queue, c.head = c.queue[:n], 0
+	}
 	c.queue = append(c.queue, j)
 }
 
 // dequeue removes j from the waiting queue and reports whether it was
-// there. The head is checked first (57% of the starts in the 1M-job
+// there. The head goes in O(1) (57% of the starts in the 1M-job
 // replay); elsewhere the queue is strictly increasing in Seq, so one
-// binary search finds the only place j can be. A job the queue never
-// held (Seq 0, or a Seq another cluster's queue holds) fails the
-// identity check.
+// binary search finds the only place j can be, and the shorter side of
+// it shifts over the gap. A job the queue never held (Seq 0, or a Seq
+// another cluster's queue holds) fails the identity check. Every
+// vacated slot is cleared, so a started job is not kept reachable.
 func (c *clusterState) dequeue(j *job.Job) bool {
-	i := 0
-	if len(c.queue) == 0 || c.queue[0] != j {
-		i = sort.Search(len(c.queue), func(k int) bool { return c.queue[k].Seq >= j.Seq })
-		if i == len(c.queue) || c.queue[i] != j {
+	q, h := c.queue, c.head
+	i := h
+	if i == len(q) {
+		return false
+	}
+	if q[i] != j {
+		i += sort.Search(len(q)-h, func(k int) bool { return q[h+k].Seq >= j.Seq })
+		if i == len(q) || q[i] != j {
 			return false
 		}
 	}
-	n := len(c.queue) - 1
-	copy(c.queue[i:], c.queue[i+1:])
-	c.queue[n] = nil
-	c.queue = c.queue[:n]
+	if i-h < len(q)-1-i {
+		copy(q[h+1:i+1], q[h:i])
+		q[h] = nil
+		c.head++
+	} else {
+		copy(q[i:], q[i+1:])
+		q[len(q)-1] = nil
+		c.queue = q[:len(q)-1]
+	}
+	if c.head == len(c.queue) {
+		c.queue, c.head = c.queue[:0], 0
+	}
 	return true
 }
 
@@ -277,17 +303,18 @@ func (e *engine) schedulePass(c *clusterState, now int64) {
 			c.sub.PickCalls++
 		}
 		var next *job.Job
+		queue := c.waiting()
 		if !e.timed {
-			next = c.policy.Pick(now, c.machine, c.queue)
+			next = c.policy.Pick(now, c.machine, queue)
 		} else {
 			t0 := time.Now()
-			next = c.policy.Pick(now, c.machine, c.queue)
+			next = c.policy.Pick(now, c.machine, queue)
 			ns := time.Since(t0).Nanoseconds()
 			if e.prof != nil {
 				e.prof.Observe(obs.StagePick, ns)
 			}
 			if e.tracer != nil {
-				e.tracePick(c, now, next, len(c.queue), ns)
+				e.tracePick(c, now, next, len(queue), ns)
 			}
 		}
 		if next == nil {

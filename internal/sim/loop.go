@@ -237,10 +237,11 @@ func (e *engine) finish() (*Result, error) {
 	queued, running := 0, 0
 	var first *job.Job
 	for _, c := range e.clusters {
-		if first == nil && len(c.queue) > 0 {
-			first = c.queue[0]
+		waiting := c.waiting()
+		if first == nil && len(waiting) > 0 {
+			first = waiting[0]
 		}
-		queued += len(c.queue)
+		queued += len(waiting)
 		running += c.machine.RunningCount()
 	}
 	if queued != 0 {
