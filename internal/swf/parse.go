@@ -56,13 +56,72 @@ func parseHeaderLine(h *Header, line string) {
 	}
 }
 
-func parseJobLine(line string) (Job, error) {
-	fields := strings.Fields(line)
+// asciiSpace marks the bytes that strings.Fields and strings.TrimSpace
+// treat as space in ASCII text.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// parseJobLine parses one data line in a single pass that allocates
+// nothing: a field of an optional '-' and at most 18 ASCII digits
+// (which cannot overflow) is read as it is split off. A line with any
+// other field among its first 18 (a '+', a float, more digits, anything
+// invalid) goes whole to parseFields through strings.Fields and
+// strconv, so the inputs accepted, the values and the error texts are
+// exactly theirs. That includes every line a Unicode space such as
+// U+0085 or U+00A0 (which only strings.Fields splits on) could split
+// differently: the space's bytes are >= 0x80, so the field they sit in
+// is odd, and past the 18th field a split changes nothing.
+func parseJobLine(line []byte) (Job, error) {
+	var vals [18]int64
+	var odd bool
+	n := 0
+	for i := 0; i < len(line); {
+		if asciiSpace[line[i]] {
+			i++
+			continue
+		}
+		neg := line[i] == '-'
+		if neg {
+			i++
+		}
+		digits := i
+		var v int64
+		for i < len(line) && line[i]-'0' <= 9 {
+			v = v*10 + int64(line[i]-'0')
+			i++
+		}
+		ok := i > digits && i-digits <= 18
+		for i < len(line) && !asciiSpace[line[i]] {
+			ok = false
+			i++
+		}
+		if n < len(vals) {
+			switch {
+			case !ok:
+				odd = true
+			case neg:
+				vals[n] = -v
+			default:
+				vals[n] = v
+			}
+		}
+		n++
+	}
+	if odd {
+		return parseFields(strings.Fields(string(line)))
+	}
+	if n < len(vals) {
+		return Job{}, fmt.Errorf("expected 18 fields, got %d", n)
+	}
+	return jobOf(&vals), nil
+}
+
+// parseFields parses a data line already split into fields.
+func parseFields(fields []string) (Job, error) {
 	if len(fields) < 18 {
 		return Job{}, fmt.Errorf("expected 18 fields, got %d", len(fields))
 	}
 	var vals [18]int64
-	for i := 0; i < 18; i++ {
+	for i := range vals {
 		v, err := strconv.ParseInt(fields[i], 10, 64)
 		if err != nil {
 			// Some archive logs use floats in field 6 (avg CPU time).
@@ -74,26 +133,39 @@ func parseJobLine(line string) (Job, error) {
 		}
 		vals[i] = v
 	}
+	return jobOf(&vals), nil
+}
+
+// jobOf builds a record from its 18 fields in file order.
+func jobOf(v *[18]int64) Job {
 	return Job{
-		JobNumber:       vals[0],
-		SubmitTime:      vals[1],
-		WaitTime:        vals[2],
-		RunTime:         vals[3],
-		AllocatedProcs:  vals[4],
-		AvgCPUTime:      vals[5],
-		UsedMemory:      vals[6],
-		RequestedProcs:  vals[7],
-		RequestedTime:   vals[8],
-		RequestedMemory: vals[9],
-		Status:          vals[10],
-		UserID:          vals[11],
-		GroupID:         vals[12],
-		Executable:      vals[13],
-		Queue:           vals[14],
-		Partition:       vals[15],
-		PrecedingJob:    vals[16],
-		ThinkTime:       vals[17],
-	}, nil
+		JobNumber:       v[0],
+		SubmitTime:      v[1],
+		WaitTime:        v[2],
+		RunTime:         v[3],
+		AllocatedProcs:  v[4],
+		AvgCPUTime:      v[5],
+		UsedMemory:      v[6],
+		RequestedProcs:  v[7],
+		RequestedTime:   v[8],
+		RequestedMemory: v[9],
+		Status:          v[10],
+		UserID:          v[11],
+		GroupID:         v[12],
+		Executable:      v[13],
+		Queue:           v[14],
+		Partition:       v[15],
+		PrecedingJob:    v[16],
+		ThinkTime:       v[17],
+	}
+}
+
+// fields lists a record's 18 fields in file order.
+func (j *Job) fields() [18]int64 {
+	return [18]int64{j.JobNumber, j.SubmitTime, j.WaitTime, j.RunTime, j.AllocatedProcs,
+		j.AvgCPUTime, j.UsedMemory, j.RequestedProcs, j.RequestedTime,
+		j.RequestedMemory, j.Status, j.UserID, j.GroupID, j.Executable,
+		j.Queue, j.Partition, j.PrecedingJob, j.ThinkTime}
 }
 
 // Write serializes the trace to w in SWF format, emitting header

@@ -2,9 +2,10 @@ package swf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"strings"
+	"strconv"
 )
 
 // Scanner is an iterator-style SWF reader: it yields one job record at a
@@ -48,12 +49,14 @@ func (s *Scanner) Next() (Job, error) {
 	}
 	for s.sc.Scan() {
 		s.lineNo++
-		line := strings.TrimSpace(s.sc.Text())
-		if line == "" {
+		// bytes.TrimSpace trims exactly what strings.TrimSpace does, in
+		// place; only header lines become strings.
+		line := bytes.TrimSpace(s.sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		if strings.HasPrefix(line, ";") {
-			parseHeaderLine(&s.header, line)
+		if line[0] == ';' {
+			parseHeaderLine(&s.header, string(line))
 			continue
 		}
 		job, err := parseJobLine(line)
@@ -79,6 +82,7 @@ type Writer struct {
 	bw        *bufio.Writer
 	err       error
 	wroteJobs bool
+	line      []byte
 }
 
 // NewWriter returns a buffered streaming writer over w.
@@ -127,17 +131,23 @@ func (w *Writer) WriteHeader(h *Header) error {
 	return nil
 }
 
-// WriteJob emits one 18-field data line.
+// WriteJob emits one 18-field data line: the fields in decimal, one
+// space apart. The line is built in a reused buffer, so writing a trace
+// allocates nothing per job.
 func (w *Writer) WriteJob(j *Job) error {
 	if w.err != nil {
 		return w.err
 	}
 	w.wroteJobs = true
-	_, err := fmt.Fprintf(w.bw, "%d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d %d\n",
-		j.JobNumber, j.SubmitTime, j.WaitTime, j.RunTime, j.AllocatedProcs,
-		j.AvgCPUTime, j.UsedMemory, j.RequestedProcs, j.RequestedTime,
-		j.RequestedMemory, j.Status, j.UserID, j.GroupID, j.Executable,
-		j.Queue, j.Partition, j.PrecedingJob, j.ThinkTime)
+	b := w.line[:0]
+	for i, v := range j.fields() {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	w.line = append(b, '\n')
+	_, err := w.bw.Write(w.line)
 	if err != nil {
 		w.err = err
 	}
