@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"slices"
@@ -28,6 +29,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/swf"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -473,17 +475,35 @@ func BenchmarkSchedSimEndToEnd(b *testing.B) {
 // per-job overhead of the streaming path. The AVE2 sessions price the
 // policies; paper-best is the paper's own triple, whose on-line learning
 // (feature extraction, prediction and one NAG step per job) is most of
-// its cost.
+// its cost. swf-easy-sjbf reads the easy-sjbf input back from an
+// in-memory SWF file, as `simsched -swf FILE -stream` does, so the SWF
+// scan, the keep status mode and the cleaner run in every op.
 func BenchmarkSchedSimStream(b *testing.B) {
 	w := benchWorkload(b, "KTH-SP2")
-	run := func(mk func() sim.Config) func(*testing.B) {
+	var file bytes.Buffer
+	if err := swf.Write(&file, &swf.Trace{Header: swf.Header{MaxProcs: w.MaxProcs}, Jobs: w.Jobs}); err != nil {
+		b.Fatal(err)
+	}
+	fromWorkload := func() (workload.Source, error) { return workload.FromWorkload(w), nil }
+	fromSWF := func() (workload.Source, error) {
+		src, err := workload.NewStatusSource(workload.NewScanSource(swf.NewScanner(bytes.NewReader(file.Bytes()))), swf.StatusKeep)
+		if err != nil {
+			return nil, err
+		}
+		return workload.NewCleanSource(src, w.MaxProcs), nil
+	}
+	run := func(open func() (workload.Source, error), mk func() sim.Config) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				col := metrics.NewCollector()
 				cfg := mk()
 				cfg.Sink = col
-				res, err := sim.RunStream(w.Name, w.MaxProcs, workload.FromWorkload(w), cfg)
+				src, err := open()
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := sim.RunStream(w.Name, w.MaxProcs, src, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -498,9 +518,11 @@ func BenchmarkSchedSimStream(b *testing.B) {
 			return sim.Config{Policy: mk(), Predictor: predict.NewUserAverage(2), Corrector: correct.Incremental{}}
 		}
 	}
-	b.Run("easy-sjbf", run(ave2(func() sched.Policy { return sched.NewEASY(sched.SJBFOrder) })))
-	b.Run("conservative", run(ave2(func() sched.Policy { return sched.NewConservative() })))
-	b.Run("paper-best", run(core.PaperBest().Config))
+	sjbf := ave2(func() sched.Policy { return sched.NewEASY(sched.SJBFOrder) })
+	b.Run("easy-sjbf", run(fromWorkload, sjbf))
+	b.Run("conservative", run(fromWorkload, ave2(func() sched.Policy { return sched.NewConservative() })))
+	b.Run("paper-best", run(fromWorkload, core.PaperBest().Config))
+	b.Run("swf-easy-sjbf", run(fromSWF, sjbf))
 }
 
 // BenchmarkSchedSimStreamGen runs generator-to-metrics fully streamed —
