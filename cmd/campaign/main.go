@@ -198,10 +198,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 				ov.Stream = stream
 			case "table":
 				ov.Tables = selection(*table)
-				tablesSet = true
+				tablesSet = *table != 0
 			case "figure":
 				ov.Figures = selection(*figure)
-				figuresSet = true
+				figuresSet = *figure != 0
 			case "clusters":
 				ov.Clusters = clusters
 			case "routing":
@@ -220,7 +220,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		s.Apply(ov)
 		// -table/-figure are selections, not additions: naming one
-		// suppresses the spec's other axis, exactly as without -spec.
+		// suppresses the spec's other axis, exactly as without -spec. A
+		// zero selects nothing, so it leaves the spec's selection alone.
 		if tablesSet && !figuresSet {
 			s.Output.Figures = nil
 		}

@@ -178,6 +178,19 @@ func TestSelection(t *testing.T) {
 	if strings.Contains(stderr, "running") {
 		t.Errorf("-table 8 ran the grid:\n%s", stderr)
 	}
+
+	// A zero selects nothing: the spec's tables and figures all print.
+	for _, flag := range []string{"-table", "-figure"} {
+		code, stdout, stderr := runCampaign(t, "-spec", "../../specs/paper.yaml", flag, "0", "-jobs", "40")
+		if code != 0 {
+			t.Fatalf("%s 0: exit %d, stderr: %s", flag, code, stderr)
+		}
+		for _, title := range []string{"Table 1:", "Table 6:", "Table 7:", "Table 8:", "Figure 3:", "Figure 4:", "Figure 5:"} {
+			if !strings.Contains(stdout, title) {
+				t.Errorf("%s 0 dropped the spec's %q:\n%s", flag, title, stdout)
+			}
+		}
+	}
 }
 
 // TestValidateSpecs: every checked-in spec passes the -validate dry run.
