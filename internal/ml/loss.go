@@ -182,13 +182,3 @@ func AllLosses() []Loss {
 	}
 	return out
 }
-
-// LossByName resolves a loss identifier produced by Loss.Name.
-func LossByName(name string) (Loss, error) {
-	for _, l := range AllLosses() {
-		if l.Name() == name {
-			return l, nil
-		}
-	}
-	return Loss{}, fmt.Errorf("ml: unknown loss %q", name)
-}

@@ -478,21 +478,6 @@ func trainSample(m *Model, n int, seed uint64) {
 	}
 }
 
-func TestLossByName(t *testing.T) {
-	for _, l := range AllLosses() {
-		got, err := LossByName(l.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != l {
-			t.Fatalf("round trip failed for %s", l.Name())
-		}
-	}
-	if _, err := LossByName("bogus"); err == nil {
-		t.Fatal("bogus loss resolved")
-	}
-}
-
 func TestLinearBasisDegree(t *testing.T) {
 	b := NewBasisDegree(3, 1)
 	out := b.Expand([]float64{2, 3, 5})
