@@ -247,10 +247,9 @@ func schedPickState(b *testing.B, log string, queued int) (*platform.Machine, []
 	i := 0
 	// Load the machine until under 2% of its processors are idle. The
 	// running jobs' predicted ends sit far beyond any instant the
-	// benchmark loops will reach (the policies require a monotone clock,
-	// so per-event benchmarks advance it), keeping the availability
-	// profile stationary across iterations while preserving the preset's
-	// spread of release times.
+	// benchmark loops will reach (per-event benchmarks advance the
+	// clock), keeping the availability profile stationary across
+	// iterations while preserving the preset's spread of release times.
 	for ; i < len(w.Jobs) && m.Free()*50 > m.Total(); i++ {
 		j := job.FromSWF(&w.Jobs[i])
 		j.Prediction = j.ClampPrediction(j.Request) + (1 << 40)
@@ -299,10 +298,10 @@ func benchmarkPick(b *testing.B, p sched.Policy) {
 // Pick is the first of a fresh scheduling event: the incremental
 // policies pay their per-event work while the reference policies pay
 // the same full rebuild as always. Since nothing fits now, incremental
-// Conservative's work is the scratch copy plus one Profile.Fits pass
-// over the queue: its scan is cut before the first reservation, so no
-// FindStart or Reserve is timed. Instants are strictly increasing — the
-// incremental policies' documented monotone-clock contract — and stay
+// Conservative's work is refilling its scratch profile from the
+// machine (Machine.FillAvailability, one pass over the release order)
+// plus one Profile.Fits pass over the queue: its scan is cut before the
+// first reservation, so no FindStart or Reserve is timed. Instants stay
 // far below the running jobs' predicted ends, so every iteration sees
 // the same availability shape.
 func benchmarkPickPerEvent(b *testing.B, p sched.Policy) {

@@ -64,6 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stream && *stats {
 		return usage("-stream cannot compute whole-trace statistics; drop -stats")
 	}
+	if *jobs < 0 {
+		return usage("-jobs must be >= 0 (0 = full Table-4 size), got %d", *jobs)
+	}
 	if *specPath != "" && set["preset"] {
 		return usage("-preset conflicts with -spec (the spec lists its workloads)")
 	}

@@ -92,6 +92,7 @@ func TestUsageErrors(t *testing.T) {
 		want string
 	}{
 		{"stream+stats", []string{"-stream", "-stats"}, "drop -stats"},
+		{"negative-jobs", []string{"-jobs", "-5"}, "-jobs must be >= 0"},
 		{"preset+spec", []string{"-spec", smoke, "-preset", "Curie"}, "-preset conflicts with -spec"},
 		{"spec-without-o", []string{"-spec", smoke}, "pass -o DIR"},
 		{"spec-stream-without-o", []string{"-spec", smoke, "-stream"}, "pass -o DIR"},

@@ -174,6 +174,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return usage("-jobs scales a generated preset; it conflicts with -swf")
 		}
 	}
+	if o.jobs < 0 {
+		return usage("-jobs must be >= 0 (0 = full size), got %d", o.jobs)
+	}
 	if set["disrupt-seed"] && o.disrupt == "none" {
 		return usage("-disrupt-seed seeds the disruption generator; it needs -disrupt")
 	}

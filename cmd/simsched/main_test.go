@@ -31,6 +31,7 @@ func TestUsageErrors(t *testing.T) {
 		{"status-without-swf", []string{"-status", "skip"}, "needs -swf"},
 		{"preset+swf", []string{"-swf", "x.swf", "-preset", "Curie"}, "conflicts with -swf"},
 		{"jobs+swf", []string{"-swf", "x.swf", "-jobs", "100"}, "conflicts with -swf"},
+		{"negative-jobs", []string{"-jobs", "-5"}, "-jobs must be >= 0"},
 		{"disrupt-seed-without-disrupt", []string{"-disrupt-seed", "7"}, "needs -disrupt"},
 		{"routing-without-clusters", []string{"-routing", "spillover"}, "needs -clusters"},
 		{"bad-clusters", []string{"-clusters", "100,zero"}, "bad processor count"},

@@ -152,12 +152,6 @@ func TestZeroCapacityProfileOps(t *testing.T) {
 	if p.AvailableAt(1000) != 0 {
 		t.Fatal("zero-capacity profile should have no availability")
 	}
-	p.Advance(100)
-	q := NewProfile(0, 4)
-	q.CopyFrom(p)
-	if q.Total() != 0 || q.AvailableAt(200) != 0 {
-		t.Fatal("CopyFrom of a zero-capacity profile broken")
-	}
 }
 
 func TestDrainRestoreRoundTripKeepsViewsConsistent(t *testing.T) {

@@ -231,8 +231,8 @@ func (m *Machine) Restore(procs int64) (restored int64) {
 }
 
 // Running returns the running jobs in deterministic (ID) order. It
-// allocates a fresh slice per call and is meant for cold paths (policy
-// resyncs, tests); the availability queries walk the release order.
+// allocates a fresh slice per call and is meant for cold paths such as
+// tests; the availability queries walk the release order.
 func (m *Machine) Running() []*job.Job {
 	jobs := make([]*job.Job, 0, len(m.order))
 	for _, j := range m.jobs {
@@ -275,17 +275,6 @@ func (m *Machine) nextRelease(i int, now int64) (at, procs int64, next int) {
 		procs += m.order[i].procs
 	}
 	return at, procs, i
-}
-
-// OverdueProcs returns the processors held by running jobs whose
-// predicted end is at or before now: busy at now, and released at now+1
-// by ReleaseInstant.
-func (m *Machine) OverdueProcs(now int64) int64 {
-	var procs int64
-	for i := len(m.order) - 1; i >= 0 && m.order[i].end <= now; i-- {
-		procs += m.order[i].procs
-	}
-	return procs
 }
 
 // Reservation computes EASY's single reservation for a job of width
@@ -332,21 +321,26 @@ func (m *Machine) Reservation(now int64, procs int64) (shadow int64, extra int64
 // from now on: capacity ceiling at the eventual capacity, the current
 // idle processors free at now, and the running jobs' releases, net of
 // pending-drain absorption, growing availability at their ReleaseInstant.
-// It walks the release order like Reservation, reserving each instant's
-// net release in one step; a profile is kept coalesced, so this builds
-// the same segments as one reservation per job would. It is the one
-// construction conservative backfilling plans against, shared by the
-// incremental policy and ProfileFromMachine so the two cannot drift
+// It is the one construction conservative backfilling plans against,
+// shared by the policy and ProfileFromMachine so the two cannot drift
 // apart.
+//
+// It builds p in one pass over the release order with Reservation's
+// arithmetic: availability starts at the idle processors, and each
+// instant whose releases outgrow the pending drain adds one breakpoint,
+// so p comes out coalesced — segment for segment the profile one Reserve
+// per release would leave — in O(R) rather than O(R²), reusing p's
+// backing arrays.
 func (m *Machine) FillAvailability(p *Profile, now int64) {
 	p.Reset(now, m.EventualCapacity())
-	var released, gained int64
+	p.available[0] = m.free
+	var released int64
 	for i := len(m.order) - 1; i >= 0; {
 		at, procs, next := m.nextRelease(i, now)
 		released += procs
-		if gain := max(0, released-m.pendingDrain) - gained; gain > 0 {
-			p.Reserve(now, at, gain)
-			gained += gain
+		if avail := m.free + max(0, released-m.pendingDrain); avail != p.available[len(p.available)-1] {
+			p.times = append(p.times, at)
+			p.available = append(p.available, avail)
 		}
 		i = next
 	}

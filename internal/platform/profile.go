@@ -8,14 +8,11 @@ import (
 // Profile is a piecewise-constant availability timeline: available[i]
 // processors are free during [times[i], times[i+1]). The last segment
 // extends to infinity. It supports the find-earliest-hole and reserve
-// operations conservative backfilling needs, plus the incremental
-// operations (Release, Advance, CopyFrom) that let a scheduler keep one
-// profile alive across events instead of rebuilding it from scratch.
-//
-// All mutating operations reuse the profile's backing arrays: Advance
-// compacts in place and CopyFrom/Reset recycle previously grown capacity,
-// so a long-lived profile reaches a steady state where the hot path
-// allocates nothing.
+// operations conservative backfilling needs. A scheduler refills one
+// profile from the machine at each instant it plans
+// (Machine.FillAvailability); Reset and Reserve reuse the backing arrays,
+// so a reused profile reaches a steady state where planning allocates
+// nothing.
 type Profile struct {
 	times     []int64
 	available []int64
@@ -46,9 +43,6 @@ func ProfileFromMachine(m *Machine, now int64) *Profile {
 // Total returns the profile's capacity.
 func (p *Profile) Total() int64 { return p.total }
 
-// Start returns the first breakpoint (the profile's current origin).
-func (p *Profile) Start() int64 { return p.times[0] }
-
 // Reset reinitializes the profile to fully-free from start, keeping the
 // backing arrays. Like NewProfile, a zero capacity is legal.
 func (p *Profile) Reset(start, totalProcs int64) {
@@ -58,15 +52,6 @@ func (p *Profile) Reset(start, totalProcs int64) {
 	p.times = append(p.times[:0], start)
 	p.available = append(p.available[:0], totalProcs)
 	p.total = totalProcs
-}
-
-// CopyFrom makes p an exact copy of src, reusing p's backing arrays. It
-// is the cheap way to derive a scratch profile from a persistent one:
-// one memcpy per call instead of one Reserve per running job.
-func (p *Profile) CopyFrom(src *Profile) {
-	p.times = append(p.times[:0], src.times...)
-	p.available = append(p.available[:0], src.available...)
-	p.total = src.total
 }
 
 // segmentAt returns the index of the segment containing t (t must be >=
@@ -129,25 +114,6 @@ func (p *Profile) coalesce(lo, hi int) {
 		p.times = p.times[:w+n]
 		p.available = p.available[:w+n]
 	}
-}
-
-// Advance drops the part of the timeline strictly before now, moving the
-// profile origin forward. History can never be queried again (the
-// simulator's clock is monotone), so advancing keeps the segment count
-// proportional to live reservations instead of total reservations ever
-// made. The compaction reuses the backing arrays in place.
-func (p *Profile) Advance(now int64) {
-	if now <= p.times[0] {
-		return
-	}
-	i := p.segmentAt(now)
-	if i > 0 {
-		n := copy(p.times, p.times[i:])
-		copy(p.available, p.available[i:])
-		p.times = p.times[:n]
-		p.available = p.available[:n]
-	}
-	p.times[0] = now
 }
 
 // FindStart returns the earliest instant >= earliest at which procs
@@ -220,27 +186,6 @@ func (p *Profile) Reserve(from, to, procs int64) {
 		p.available[k] -= procs
 		if p.available[k] < 0 {
 			panic(fmt.Sprintf("platform: reservation [%d,%d)x%d overbooks segment %d", from, to, procs, k))
-		}
-	}
-	p.coalesce(i, j)
-}
-
-// Release adds procs processors back during [from, to) — the inverse of
-// Reserve. It is how a persistent profile learns that a job completed
-// earlier than predicted: releasing the tail of its reservation
-// compresses the availability timeline without a rebuild. It panics if
-// the release would exceed the profile capacity (releasing processors
-// that were never reserved is a scheduler bug).
-func (p *Profile) Release(from, to, procs int64) {
-	if from >= to {
-		panic(fmt.Sprintf("platform: empty release [%d,%d)", from, to))
-	}
-	i := p.split(from)
-	j := p.split(to)
-	for k := i; k < j; k++ {
-		p.available[k] += procs
-		if p.available[k] > p.total {
-			panic(fmt.Sprintf("platform: release [%d,%d)x%d exceeds capacity at segment %d", from, to, procs, k))
 		}
 	}
 	p.coalesce(i, j)

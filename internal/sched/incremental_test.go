@@ -88,8 +88,8 @@ func TestEASYIndexMaintainedByHooks(t *testing.T) {
 }
 
 // TestEASYExtraConsumedIncrementally: a backfill start that outlives the
-// shadow must shrink the cached extra processors so a second candidate of
-// the same width is rejected within the same instant — exactly what the
+// shadow uses up the extra processors, so a second candidate of the same
+// width is rejected within the same instant — exactly what the
 // from-scratch recomputation would decide.
 func TestEASYExtraConsumedIncrementally(t *testing.T) {
 	m := platform.New(10)
@@ -225,21 +225,17 @@ func TestConservativeCutScanThenSubmit(t *testing.T) {
 }
 
 // TestConservativeEarlyFinishCompressesProfile: a completion before its
-// predicted end must make the freed window usable immediately (the
-// Profile.Release path), matching the reference rebuild.
+// predicted end must make the freed window usable immediately, even when
+// a Pick at the same instant already decided that nothing starts.
 func TestConservativeEarlyFinishCompressesProfile(t *testing.T) {
 	m := platform.New(10)
 	c := NewConservative()
 	long := &job.Job{ID: 99, Procs: 6, Start: 0, Prediction: 1000, Started: true}
 	m.Start(long)
 	head := waiting(1, 8, 0, 500)
-	if got := c.Pick(0, m, []*job.Job{head}); got != nil {
+	if got := c.Pick(10, m, []*job.Job{head}); got != nil {
 		t.Fatalf("head cannot start while the long job runs, got %v", got)
 	}
-	// The first Pick already tracked the running job via resync, so this
-	// out-of-step OnStart must trigger the duplicate guard (desync and
-	// rebuild at the next Pick) instead of double-reserving.
-	c.OnStart(long, 0)
 	// The long job finishes at t=10, far before its predicted end 1000.
 	m.Finish(long)
 	c.OnFinish(long, 10)
@@ -268,15 +264,97 @@ func TestConservativeExpiryExtendsProfile(t *testing.T) {
 	if got == nil || got.ID != 2 {
 		t.Fatalf("filler should fit before the predicted release, got %v", got)
 	}
-	// Instead, at t=50 the runner outlives its prediction; the
-	// correction extends it to 200. The filler no longer fits... but
-	// conservative may still start it at t=50: only 6 procs are busy.
+	// Instead, at t=50 the runner outlives its prediction. Overdue, it
+	// releases at t=51, where the wide job's reservation leaves the
+	// filler too little room: nothing starts.
+	if got = c.Pick(50, m, []*job.Job{fits, filler}); got != nil {
+		t.Fatalf("overdue runner: nothing should start, got %v", got)
+	}
+	// The correction at the same instant extends the runner to 200, so
+	// the wide job's reservation moves to t=200 and the filler fits
+	// before it: the cached decision must not stand.
 	m.Correct(runner, 200)
 	c.OnExpiry(runner, 50)
 	got = c.Pick(50, m, []*job.Job{fits, filler})
 	want := (ReferenceConservative{}).Pick(50, m, []*job.Job{fits, filler})
-	if got != want {
-		t.Fatalf("after expiry: incremental %v, reference %v", got, want)
+	if want != filler || got != want {
+		t.Fatalf("after expiry: incremental %v, reference %v, want the filler", got, want)
+	}
+}
+
+// TestConservativeRestoreAtSameInstant: a restore after a Pick at the
+// same instant returns processors, so the cached "nothing starts" must
+// not stand.
+func TestConservativeRestoreAtSameInstant(t *testing.T) {
+	m := platform.New(10)
+	m.Drain(6)
+	c := NewConservative()
+	q := []*job.Job{waiting(1, 8, 0, 100)}
+	if got := c.Pick(10, m, q); got != nil {
+		t.Fatalf("4 processors in service: nothing should start, got %v", got)
+	}
+	m.Restore(6)
+	c.OnCapacityChange(10, m)
+	if got := c.Pick(10, m, q); got != q[0] {
+		t.Fatalf("after the restore the head should start, got %v", got)
+	}
+}
+
+// TestPolicyMachineSwapAtSameInstant: a policy value handed a second
+// machine at the same instant plans against that machine and its queue,
+// not from the decision cache or SJBF index it built for the first. The
+// two queues have the same length, so only the machine tells them apart.
+func TestPolicyMachineSwapAtSameInstant(t *testing.T) {
+	const now = 20
+	type world struct {
+		m *platform.Machine
+		q []*job.Job
+	}
+	newWorld := func(head, filler *job.Job) world {
+		m := platform.New(10)
+		running(m, 99, 6, 0, 100) // 4 free until t=100
+		return world{m, []*job.Job{head, filler}}
+	}
+	// In a, the filler ends before the head's reservation and starts; in
+	// b, it would delay the head and must wait.
+	a := newWorld(waiting(1, 8, 0, 1000), waiting(2, 2, 0, 10))
+	b := newWorld(waiting(3, 8, 0, 1000), waiting(4, 4, 0, 500))
+	for _, tc := range []struct{ p, ref Policy }{
+		{NewConservative(), ReferenceConservative{}},
+		{NewEASY(SJBFOrder), ReferenceEASY{Backfill: SJBFOrder}},
+	} {
+		for k, w := range []world{a, b, a} {
+			got, want := tc.p.Pick(now, w.m, w.q), tc.ref.Pick(now, w.m, w.q)
+			if got != want {
+				t.Fatalf("%s, pick %d: got %v, reference %v", tc.p.Name(), k, got, want)
+			}
+		}
+	}
+}
+
+// TestConservativePerEventPickAllocatesNothing: once its scratch profile
+// and decision cache have grown, a Pick at each new instant — refill from
+// the machine, reserve and cache — allocates nothing.
+func TestConservativePerEventPickAllocatesNothing(t *testing.T) {
+	m := platform.New(64)
+	for id := int64(1); id <= 30; id++ {
+		running(m, 100+id, 2, 0, 1000+10*id) // 4 free
+	}
+	var queue []*job.Job
+	for id := int64(1); id <= 40; id++ {
+		queue = append(queue, waiting(id, 1+id%8, id, 50+7*id))
+	}
+	c := NewConservative()
+	now := int64(10)
+	if c.Pick(now, m, queue) == nil {
+		t.Fatal("some queued job should fit now")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		now++
+		c.Pick(now, m, queue)
+	})
+	if allocs != 0 {
+		t.Fatalf("per-event Pick: %.0f allocs, want 0", allocs)
 	}
 }
 

@@ -10,15 +10,17 @@
 //
 // Policies are stateful scheduling sessions: the engine drives them
 // through lifecycle hooks (OnSubmit/OnStart/OnFinish/OnExpiry, mirroring
-// predict.Predictor) so they can maintain persistent acceleration
-// structures — a backfill index for EASY-SJBF, kept in prediction order
-// and cut into blocks that record their narrowest width, a cached
-// shadow reservation for EASY, and a persistent availability
-// profile plus per-instant decision cache for Conservative — instead of
-// recomputing everything from scratch at every Pick. The from-scratch
-// formulations survive as ReferenceEASY and ReferenceConservative (see
-// reference.go); property tests assert the incremental policies make
-// decision-for-decision identical schedules.
+// predict.Predictor). Availability is never copied into a policy: EASY
+// asks the machine for its shadow reservation (Machine.Reservation) and
+// Conservative refills its profile from the machine
+// (Machine.FillAvailability) at each instant it plans, both read from the
+// machine's release order. What the hooks maintain is what the machine
+// does not know: EASY-SJBF's backfill index, kept in prediction order and
+// cut into blocks that record their narrowest width, and Conservative's
+// per-instant decision cache. The from-scratch formulations survive as
+// ReferenceEASY and ReferenceConservative (see reference.go); property
+// tests assert the policies make decision-for-decision identical
+// schedules.
 //
 // A policy instance must either be driven through its hooks in lockstep
 // with the machine (what sim.Run does) or be used fresh for a single
@@ -86,8 +88,8 @@ type Policy interface {
 	OnCancel(j *job.Job, now int64)
 	// OnCapacityChange tells the policy the machine's realized or
 	// eventual capacity changed — a node drain or restore, or a pending
-	// drain absorbing a completion's processors — so any cached
-	// availability view is stale.
+	// drain absorbing a completion's processors — so any decision
+	// cached from the old availability is stale.
 	OnCapacityChange(now int64, m *platform.Machine)
 }
 
@@ -146,31 +148,22 @@ func (FCFS) Pick(_ int64, m *platform.Machine, queue []*job.Job) *job.Job {
 // it if it fits now and either (a) is predicted to finish before the
 // shadow time or (b) uses only processors left over at the shadow time.
 //
-// The implementation is incremental: the shadow reservation is computed
-// once per (instant, head) and updated in O(1) as backfill jobs start
-// (a feasible backfill start never moves the shadow; it only consumes
-// extra processors when it outlives the shadow), and the SJBF candidate
-// order is a persistent blocked index (sjbf.go) maintained by the
-// lifecycle hooks instead of a fresh copy-and-sort of the queue at every
-// Pick.
+// The shadow reservation is asked of the machine at every Pick that
+// needs it: it walks only the releases it needs, and a cached copy
+// measured no faster end to end. The SJBF candidate order is a
+// persistent blocked index (sjbf.go) maintained by the lifecycle hooks
+// instead of a fresh copy-and-sort of the queue at every Pick.
 type EASY struct {
 	// Backfill is the candidate scan order.
 	Backfill Order
 
-	m *platform.Machine // machine the cached state mirrors
+	m *platform.Machine // machine the index was built against
 
 	// index holds the queued jobs in predLess order (SJBF only).
 	// indexOK reports whether the hooks have kept it in lockstep with
 	// the queue; when false (or on a length mismatch) Pick rebuilds it.
 	index   sjbfIndex
 	indexOK bool
-
-	// Cached head reservation, valid for (resNow, resHead) while resOK.
-	resOK     bool
-	resNow    int64
-	resHead   int64
-	resShadow int64
-	resExtra  int64
 }
 
 // NewEASY returns an EASY policy with the given backfill order.
@@ -184,19 +177,13 @@ func (e *EASY) Name() string {
 	return "EASY"
 }
 
-// reset discards all incremental state when the policy meets a new
-// machine (a fresh simulation reusing the policy value).
-func (e *EASY) reset(m *platform.Machine) {
-	e.m = m
-	e.index.reset()
-	e.indexOK = true
-	e.resOK = false
-}
-
 // Pick implements Policy.
 func (e *EASY) Pick(now int64, m *platform.Machine, queue []*job.Job) *job.Job {
 	if m != e.m {
-		e.reset(m)
+		// A fresh simulation reusing the policy value: its queue is new.
+		e.m = m
+		e.index.reset()
+		e.indexOK = true
 	}
 	if len(queue) == 0 {
 		return nil
@@ -211,11 +198,7 @@ func (e *EASY) Pick(now int64, m *platform.Machine, queue []*job.Job) *job.Job {
 		// backfill into an empty pool; skip the reservation entirely.
 		return nil
 	}
-	if !e.resOK || e.resNow != now || e.resHead != head.ID {
-		e.resShadow, e.resExtra = m.Reservation(now, head.Procs)
-		e.resNow, e.resHead, e.resOK = now, head.ID, true
-	}
-	shadow, extra := e.resShadow, e.resExtra
+	shadow, extra := m.Reservation(now, head.Procs)
 	if e.Backfill == SJBFOrder {
 		if !e.indexOK || e.index.len() != len(queue) {
 			e.index.rebuild(queue)
@@ -237,8 +220,6 @@ func (e *EASY) Pick(now int64, m *platform.Machine, queue []*job.Job) *job.Job {
 }
 
 // OnSubmit implements Policy: a new waiting job enters the SJBF index.
-// The shadow reservation is untouched — it depends only on the running
-// jobs and the head's width, neither of which a submission changes.
 func (e *EASY) OnSubmit(j *job.Job, _ int64) {
 	if e.Backfill != SJBFOrder || !e.indexOK {
 		return
@@ -257,52 +238,27 @@ func (e *EASY) dropFromIndex(j *job.Job) {
 	}
 }
 
-// OnStart implements Policy: the started job leaves the SJBF index, and
-// the cached shadow reservation is updated in O(1) — a backfill start at
-// the cached instant never moves the shadow (it either completes before
-// it or fits in the extra processors), it only consumes extra capacity
-// when it outlives the shadow.
-func (e *EASY) OnStart(j *job.Job, now int64) {
-	e.dropFromIndex(j)
-	if !e.resOK {
-		return
-	}
-	if now != e.resNow || j.ID == e.resHead {
-		e.resOK = false
-		return
-	}
-	if now+j.Prediction <= e.resShadow {
-		return
-	}
-	e.resExtra -= j.Procs
-	if e.resExtra < 0 {
-		// The start was not a feasible backfill against the cached
-		// reservation (hooks driven outside the usual Pick loop).
-		e.resOK = false
-	}
-}
+// OnStart implements Policy: the started job leaves the SJBF index.
+func (e *EASY) OnStart(j *job.Job, _ int64) { e.dropFromIndex(j) }
 
-// OnFinish implements Policy: a completion frees processors, so the
-// shadow may move earlier — drop the cached reservation.
-func (e *EASY) OnFinish(*job.Job, int64) { e.resOK = false }
+// OnFinish implements Policy. The machine holds the release order the
+// shadow is computed from, so a finish leaves EASY nothing to update.
+func (*EASY) OnFinish(*job.Job, int64) {}
 
-// OnExpiry implements Policy: a corrected prediction moves a running
-// job's release instant, so the cached reservation is stale.
-func (e *EASY) OnExpiry(*job.Job, int64) { e.resOK = false }
+// OnExpiry implements Policy; like OnFinish, it has nothing to update.
+func (*EASY) OnExpiry(*job.Job, int64) {}
 
 // OnCancel implements Policy: a canceled waiting job leaves the SJBF
-// index; either way (queued removal or running kill) the availability
-// the cached reservation was computed from changed.
+// index.
 func (e *EASY) OnCancel(j *job.Job, _ int64) {
 	if !j.Started {
 		e.dropFromIndex(j)
 	}
-	e.resOK = false
 }
 
-// OnCapacityChange implements Policy: the shadow reservation depends on
-// the capacity step function, so it must be recomputed.
-func (e *EASY) OnCapacityChange(int64, *platform.Machine) { e.resOK = false }
+// OnCapacityChange implements Policy; like OnFinish, it has nothing to
+// update.
+func (*EASY) OnCapacityChange(int64, *platform.Machine) {}
 
 // Conservative is conservative backfilling: every queued job holds a
 // reservation computed in arrival order against the predicted
@@ -311,18 +267,15 @@ func (e *EASY) OnCapacityChange(int64, *platform.Machine) { e.resOK = false }
 // "recompute at each new event" variant the paper describes), which lets
 // completions earlier than predicted compress the schedule.
 //
-// The implementation is incremental along two axes. Across events, the
-// running jobs' availability profile persists: starts reserve into it,
-// early completions release the unused reservation tail
-// (platform.Profile.Release), corrections extend it, and the origin
-// advances with the clock (platform.Profile.Advance) so dead history is
-// compacted away — no per-event ProfileFromMachine rebuild. Within an
-// event, the queue scan runs once against a scratch copy of that
-// profile and its decisions are cached: the engine's repeated Pick calls
-// after each started job pop from the cache in O(1), because starting a
-// job it picked converts the job's queued reservation into an identical
-// running reservation and therefore changes nothing the remaining
-// decisions depend on.
+// At the first Pick of an instant, the scan refills a scratch profile
+// from the machine (Machine.FillAvailability, which folds overdue
+// predictions and pending drains in), reserves the queued jobs into it
+// and caches its decisions: the engine's repeated Pick calls after each
+// started job pop from the cache in O(1), because starting a job it
+// picked converts the job's queued reservation into an identical running
+// reservation and therefore changes nothing the remaining decisions
+// depend on. Any other change to the machine or the queue invalidates
+// the cache.
 //
 // The scan also stops early. Reserving only ever removes processors
 // from the scratch profile, so a queued job that cannot start now
@@ -332,20 +285,14 @@ func (e *EASY) OnCapacityChange(int64, *platform.Machine) { e.resOK = false }
 // at this instant depends on, so the scan ends there with the cache
 // already complete.
 type Conservative struct {
+	// m is the machine scratch was filled from.
 	m *platform.Machine
 
-	// base carries the running jobs' reservations from the current
-	// origin onward. ends tracks each running job's live reservation,
-	// whose tail an early finish releases and a correction extends.
-	base *platform.Profile
-	ends map[int64]resv
-
-	// scratch is the per-instant scan profile: base, plus one [now,
-	// now+1) overlay for the overdue running jobs (platform.ReleaseInstant
-	// semantics), plus the queued jobs' reservations in arrival order.
+	// scratch is the per-instant scan profile: the machine's
+	// availability plus the queued jobs' reservations in arrival order.
 	// cut reports that the scan stopped early, so scratch lacks the
 	// reservations of the jobs it did not reach.
-	scratch *platform.Profile
+	scratch platform.Profile
 	cut     bool
 
 	// cache lists the jobs whose reservation is exactly now, in queue
@@ -354,78 +301,21 @@ type Conservative struct {
 	cacheNow int64
 	cache    []*job.Job
 	cacheIdx int
-
-	// degraded is set while the machine carries a pending drain: the
-	// drain absorbs predicted releases in release order, so per-job
-	// reservations no longer compose and the base profile is rebuilt
-	// from the machine's effective view at every Pick (the same
-	// construction the reference policy uses) until the drain settles.
-	degraded bool
 }
 
-type resv struct {
-	end   int64
-	procs int64
-}
-
-// NewConservative returns an incremental conservative backfilling policy.
-func NewConservative() *Conservative {
-	return &Conservative{ends: make(map[int64]resv)}
-}
+// NewConservative returns a conservative backfilling policy.
+func NewConservative() *Conservative { return &Conservative{} }
 
 // Name implements Policy.
 func (*Conservative) Name() string { return "Conservative" }
 
-// desync forces a full rebuild from the machine at the next Pick.
-func (c *Conservative) desync() {
-	c.m = nil
-	c.cacheOK = false
-}
-
-// resync rebuilds all incremental state from the machine.
-func (c *Conservative) resync(m *platform.Machine, now int64) {
-	c.m = m
-	c.degraded = m.PendingDrain() > 0
-	if c.base == nil {
-		c.base = platform.NewProfile(now, m.Total())
-		c.scratch = platform.NewProfile(now, m.Total())
-	}
-	clear(c.ends)
-	if c.degraded {
-		// The effective view already folds overdue predictions and
-		// drain absorption in, so rescan adds no overdue overlay.
-		m.FillAvailability(c.base, now)
-	} else {
-		c.base.Reset(now, m.Capacity())
-		for _, j := range m.Running() {
-			c.track(j, now)
-		}
-	}
-	c.cacheOK = false
-}
-
-// track records a running job's reservation in the base profile. An
-// already overdue prediction (end <= now) reserves nothing — the scan
-// overlay handles it, mirroring platform.ReleaseInstant.
-func (c *Conservative) track(j *job.Job, now int64) {
-	end := j.PredictedEnd()
-	if end > now {
-		c.base.Reserve(now, end, j.Procs)
-	}
-	c.ends[j.ID] = resv{end: end, procs: j.Procs}
-}
-
 // Pick implements Policy.
 func (c *Conservative) Pick(now int64, m *platform.Machine, queue []*job.Job) *job.Job {
-	if m != c.m || c.degraded || len(c.ends) != m.RunningCount() {
-		c.resync(m, now)
-	}
-	c.base.Advance(now)
 	if len(queue) == 0 {
 		return nil
 	}
-	if !c.cacheOK || c.cacheNow != now {
-		c.rescan(now, queue)
+	if !c.cacheOK || c.cacheNow != now || c.m != m {
+		c.rescan(now, m, queue)
 	}
 	if c.cacheIdx < len(c.cache) {
 		return c.cache[c.cacheIdx]
@@ -440,16 +330,9 @@ func (c *Conservative) Pick(now int64, m *platform.Machine, queue []*job.Job) *j
 // job to scan the scan is cut. Reservations only remove processors, so
 // a job that fails the test can never fit at now later in the scan,
 // which keeps the walk one-way and the cut exact.
-func (c *Conservative) rescan(now int64, queue []*job.Job) {
-	c.scratch.CopyFrom(c.base)
-	if !c.degraded {
-		// Overlay the overdue running jobs: their processors are
-		// demonstrably busy at now and predicted to release "any
-		// moment", i.e. at now+1.
-		if procs := c.m.OverdueProcs(now); procs > 0 {
-			c.scratch.Reserve(now, now+1, procs)
-		}
-	}
+func (c *Conservative) rescan(now int64, m *platform.Machine, queue []*job.Job) {
+	c.m = m
+	m.FillAvailability(&c.scratch, now)
 	c.cache = c.cache[:0]
 	c.cut = false
 	last := len(queue) - 1
@@ -508,90 +391,31 @@ func (c *Conservative) OnSubmit(j *job.Job, now int64) {
 }
 
 // OnStart implements Policy: the start converts the job's queued
-// reservation (already in scratch) into an identical running reservation
-// in base, so when it is the cached decision the rest of the cache stays
-// valid.
+// reservation (already in scratch) into an identical running
+// reservation, so when it is the cached decision the rest of the cache
+// stays valid.
 func (c *Conservative) OnStart(j *job.Job, now int64) {
 	if c.cacheOK && c.cacheNow == now && c.cacheIdx < len(c.cache) && c.cache[c.cacheIdx] == j {
 		c.cacheIdx++
 	} else {
 		c.cacheOK = false
 	}
-	if c.m == nil {
-		return // never synced; the next Pick rebuilds from the machine
-	}
-	if now < c.base.Start() {
-		c.desync() // clock moved backwards: hooks driven out of order
-		return
-	}
-	if _, dup := c.ends[j.ID]; dup {
-		c.desync() // already tracked (e.g. via resync): hooks out of step
-		return
-	}
-	c.track(j, now)
 }
 
-// OnFinish implements Policy: release the unused tail of the job's
-// reservation so the availability timeline compresses without a rebuild.
-func (c *Conservative) OnFinish(j *job.Job, now int64) {
-	c.cacheOK = false
-	r, ok := c.ends[j.ID]
-	if !ok {
-		return
-	}
-	delete(c.ends, j.ID)
-	if c.m == nil {
-		return
-	}
-	if now < c.base.Start() {
-		c.desync()
-		return
-	}
-	if r.end > now {
-		c.base.Release(now, r.end, r.procs)
-	}
-	// r.end <= now: the reservation already lapsed (overdue prediction).
-}
+// OnFinish implements Policy: the released processors may let queued
+// jobs start earlier, so the cached decisions are stale.
+func (c *Conservative) OnFinish(*job.Job, int64) { c.cacheOK = false }
 
-// OnExpiry implements Policy: extend the job's reservation to its
-// corrected predicted end.
-func (c *Conservative) OnExpiry(j *job.Job, now int64) {
-	c.cacheOK = false
-	r, ok := c.ends[j.ID]
-	if !ok {
-		return
-	}
-	if c.m == nil {
-		return
-	}
-	if now < c.base.Start() {
-		c.desync()
-		return
-	}
-	from := r.end
-	if from < now {
-		from = now
-	}
-	end := j.PredictedEnd()
-	if end > from {
-		c.base.Reserve(from, end, j.Procs)
-	}
-	c.ends[j.ID] = resv{end: end, procs: j.Procs}
-}
+// OnExpiry implements Policy: a corrected prediction moves a running
+// job's release, so the cached decisions are stale.
+func (c *Conservative) OnExpiry(*job.Job, int64) { c.cacheOK = false }
 
-// OnCancel implements Policy. A canceled waiting job invalidates every
-// later queued reservation; a killed running job releases its
-// reservation exactly like an early completion.
-func (c *Conservative) OnCancel(j *job.Job, now int64) {
-	if j.Started {
-		c.OnFinish(j, now)
-		return
-	}
-	c.cacheOK = false
-}
+// OnCancel implements Policy: a canceled waiting job frees its
+// reservation for every later queued job, and a killed running job
+// releases its processors, so either way the cached decisions are stale.
+func (c *Conservative) OnCancel(*job.Job, int64) { c.cacheOK = false }
 
-// OnCapacityChange implements Policy: the base profile's capacity
-// ceiling (and, under a pending drain, the shape of every future
-// release) changed, so all incremental state is rebuilt at the next
-// Pick.
-func (c *Conservative) OnCapacityChange(int64, *platform.Machine) { c.desync() }
+// OnCapacityChange implements Policy: the machine's capacity ceiling or
+// the absorption of its future releases changed, so the cached decisions
+// are stale.
+func (c *Conservative) OnCapacityChange(int64, *platform.Machine) { c.cacheOK = false }

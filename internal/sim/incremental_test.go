@@ -14,8 +14,8 @@ import (
 	"repro/internal/workload"
 )
 
-// The incremental policies (persistent profile, SJBF index, decision
-// caches) must be pure accelerations: decision-for-decision identical to
+// The incremental policies (SJBF index, decision cache) must be pure
+// accelerations: decision-for-decision identical to
 // the from-scratch reference formulations in sched/reference.go. These
 // property tests replay random workloads (seeded via internal/rng, so
 // failures reproduce exactly) through both and compare the realized
@@ -83,7 +83,7 @@ func assertIdenticalSchedules(t *testing.T, w *trace.Workload, label string, inc
 
 // predictorConfigs enumerates the prediction regimes the comparison runs
 // under: exact predictions (no expiries), overestimates that complete
-// early (exercising Profile.Release compression), and user-history
+// early (exercising early-finish compression), and user-history
 // underestimates with corrections (exercising OnExpiry extension).
 func predictorConfigs() []struct {
 	name string
