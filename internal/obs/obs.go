@@ -24,7 +24,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"strconv"
 	"sync"
 
 	"repro/internal/journal"
@@ -262,16 +264,122 @@ func ValidateEvent(ev *Event) error {
 	return nil
 }
 
-// MarshalLine renders one event as a JSONL line — the exact bytes
-// JSONL appends and ReadFile decodes, newline included. The live event
-// stream (internal/schedd) uses it so daemon output round-trips
-// through cmd/tracestat's reader, a property FuzzEventStream pins.
-func MarshalLine(ev *Event) ([]byte, error) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return nil, fmt.Errorf("obs: marshal %s event: %w", ev.Kind, err)
+// AppendLine appends ev to dst as one JSONL line: the bytes
+// json.Marshal(ev) returns, then a newline. The live event stream
+// (internal/schedd) encodes with it, so a streamed event costs no
+// reflection and daemon output round-trips through cmd/tracestat's
+// reader; FuzzEventStream holds the two encodings byte-equal. The file
+// tracer (JSONL) keeps encoding/json.
+//
+// Fields go in struct order under their omitempty rules: t and kind
+// always, every other field only when it is non-zero. A NaN or infinite
+// Bsld has no JSON form; AppendLine then returns dst unchanged and an
+// error, where json.Marshal fails too.
+func AppendLine(dst []byte, ev *Event) ([]byte, error) {
+	if math.IsNaN(ev.Bsld) || math.IsInf(ev.Bsld, 0) {
+		return dst, fmt.Errorf("obs: marshal %s event: unsupported bsld %v", ev.Kind, ev.Bsld)
 	}
-	return append(b, '\n'), nil
+	b := append(dst, `{"t":`...)
+	b = strconv.AppendInt(b, ev.T, 10)
+	b = append(b, `,"kind":`...)
+	b = appendString(b, ev.Kind)
+	b = appendStringField(b, `,"workload":`, ev.Workload)
+	b = appendStringField(b, `,"triple":`, ev.Triple)
+	b = appendIntField(b, `,"job":`, ev.Job)
+	b = appendStringField(b, `,"cluster":`, ev.Cluster)
+	b = appendIntField(b, `,"procs":`, ev.Procs)
+	b = appendIntField(b, `,"request":`, ev.Request)
+	b = appendIntField(b, `,"prediction":`, ev.Prediction)
+	b = appendStringField(b, `,"router":`, ev.Router)
+	if len(ev.Eligible) > 0 {
+		b = append(b, `,"eligible":[`...)
+		for i, s := range ev.Eligible {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, s)
+		}
+		b = append(b, ']')
+	}
+	b = appendStringField(b, `,"policy":`, ev.Policy)
+	b = appendIntField(b, `,"picked":`, ev.Picked)
+	b = appendIntField(b, `,"queue_len":`, int64(ev.QueueLen))
+	b = appendIntField(b, `,"free":`, ev.Free)
+	b = appendIntField(b, `,"eventual":`, ev.Eventual)
+	b = appendIntField(b, `,"ns":`, ev.Nanos)
+	b = appendIntField(b, `,"wait":`, ev.Wait)
+	b = appendIntField(b, `,"runtime":`, ev.Runtime)
+	b = appendIntField(b, `,"predicted":`, ev.Predicted)
+	b = appendIntField(b, `,"pred_err":`, ev.PredErr)
+	if ev.Bsld != 0 { // -0 is empty too, as encoding/json has it
+		b = append(b, `,"bsld":`...)
+		b = appendFloat(b, ev.Bsld)
+	}
+	b = appendIntField(b, `,"corrections":`, int64(ev.Corrections))
+	b = appendIntField(b, `,"capacity":`, ev.Capacity)
+	if ev.Started {
+		b = append(b, `,"started":true`...)
+	}
+	return append(b, "}\n"...), nil
+}
+
+func appendIntField(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+func appendStringField(b []byte, key, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return appendString(append(b, key...), s)
+}
+
+// appendString quotes s as encoding/json does. Printable ASCII other
+// than the quote, the backslash and the three HTML-escaped bytes is
+// copied as is; any other string is appended as json.Marshal renders
+// it, so control bytes, invalid UTF-8 and U+2028/U+2029 escape exactly
+// as the building toolchain escapes them.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !plainJSON[s[i]] {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// plainJSON marks the bytes appendString copies as they are.
+var plainJSON = func() (t [256]bool) {
+	for c := 0x20; c <= 0x7e; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
+
+// appendFloat formats a finite f as encoding/json formats a float64:
+// the shortest 'f' form, or the 'e' form with a one-digit negative
+// exponent trimmed (e-07 to e-7) when |f| is below 1e-6 or at least
+// 1e21.
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // ReadFile streams the trace at path line by line, strictly decoding

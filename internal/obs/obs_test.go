@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -210,5 +213,81 @@ func TestBsldFloorsAtOne(t *testing.T) {
 	// Short jobs are bounded by tau, not their runtime.
 	if got := Bsld(15, 5); got != 2 {
 		t.Fatalf("Bsld(15,5) = %v, want 2", got)
+	}
+}
+
+// TestAppendLineCoversEveryField fills every field of Event with a
+// non-zero value and requires AppendLine's bytes to equal json.Marshal's,
+// so a field added to Event without a line in AppendLine fails here.
+func TestAppendLineCoversEveryField(t *testing.T) {
+	var ev Event
+	v := reflect.ValueOf(&ev).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(i + 1))
+		case reflect.String:
+			f.SetString(v.Type().Field(i).Name)
+		case reflect.Float64:
+			f.SetFloat(1.25)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]string{"a", "b"}))
+		default:
+			t.Fatalf("field %s has kind %s, which this test cannot fill", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	for _, e := range []Event{{}, ev} {
+		want, err := json.Marshal(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendLine([]byte("data: "), &e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "data: "+string(want)+"\n" {
+			t.Fatalf("AppendLine wrote\n%s\njson.Marshal wrote\n%s", got, want)
+		}
+	}
+}
+
+// TestAppendLineRejectsNonFiniteBsld: a NaN or infinite bounded
+// slowdown has no JSON form, so AppendLine fails, as json.Marshal does,
+// and leaves dst as it was.
+func TestAppendLineRejectsNonFiniteBsld(t *testing.T) {
+	for _, b := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ev := Event{Kind: KindFinish, Job: 1, Bsld: b}
+		got, err := AppendLine([]byte("x"), &ev)
+		if err == nil || string(got) != "x" {
+			t.Errorf("Bsld %v: got %q, %v; want the prefix alone and an error", b, got, err)
+		}
+	}
+}
+
+// BenchmarkAppendLine encodes one event of each kind the daemon
+// streams, with the tags and values a live EASY++ run writes.
+func BenchmarkAppendLine(b *testing.B) {
+	const w, tr = "SDSC-SP2", "EASY-SJBF/AVE2/Incremental"
+	events := []Event{
+		{T: 86_412, Kind: KindSubmit, Workload: w, Triple: tr, Job: 31_337, Procs: 32, Request: 18_000, Prediction: 5_412},
+		{T: 86_412, Kind: KindPick, Workload: w, Triple: tr, Policy: "EASY-SJBF", Picked: 31_337, QueueLen: 17, Free: 40, Eventual: 128, Nanos: 1_532},
+		{T: 86_412, Kind: KindStart, Workload: w, Triple: tr, Job: 31_337, Procs: 32, Wait: 2_318},
+		{T: 90_104, Kind: KindFinish, Workload: w, Triple: tr, Job: 31_337, Runtime: 3_692, Predicted: 5_412, PredErr: 1_720, Wait: 2_318, Bsld: 1.6278439869989165, Corrections: 1},
+		{T: 91_824, Kind: KindCorrect, Workload: w, Triple: tr, Job: 31_290, Prediction: 7_200, Corrections: 2},
+	}
+	for _, ev := range events {
+		b.Run(ev.Kind, func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []byte
+			for b.Loop() {
+				var err error
+				if buf, err = AppendLine(buf[:0], &ev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

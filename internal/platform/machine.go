@@ -22,7 +22,6 @@
 package platform
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -228,20 +227,6 @@ func (m *Machine) Restore(procs int64) (restored int64) {
 	m.capacity += restored
 	m.free += restored
 	return restored
-}
-
-// Running returns the running jobs in deterministic (ID) order. It
-// allocates a fresh slice per call and is meant for cold paths such as
-// tests; the availability queries walk the release order.
-func (m *Machine) Running() []*job.Job {
-	jobs := make([]*job.Job, 0, len(m.order))
-	for _, j := range m.jobs {
-		if j != nil {
-			jobs = append(jobs, j)
-		}
-	}
-	slices.SortFunc(jobs, func(a, b *job.Job) int { return cmp.Compare(a.ID, b.ID) })
-	return jobs
 }
 
 // InfiniteTime stands in for "never" in reservation computations.

@@ -19,17 +19,6 @@ type Profile struct {
 	total     int64
 }
 
-// NewProfile creates a profile with all processors free from the given
-// instant onward. A zero capacity is legal — it models a machine fully
-// drained for maintenance, on which nothing can be placed — but a
-// negative one is a bug.
-func NewProfile(start int64, totalProcs int64) *Profile {
-	if totalProcs < 0 {
-		panic(fmt.Sprintf("platform: negative profile capacity %d", totalProcs))
-	}
-	return &Profile{times: []int64{start}, available: []int64{totalProcs}, total: totalProcs}
-}
-
 // ProfileFromMachine builds the availability profile implied by the
 // machine's running jobs and their predicted completion times (overdue
 // predictions release at ReleaseInstant), net of pending-drain
@@ -40,11 +29,10 @@ func ProfileFromMachine(m *Machine, now int64) *Profile {
 	return p
 }
 
-// Total returns the profile's capacity.
-func (p *Profile) Total() int64 { return p.total }
-
 // Reset reinitializes the profile to fully-free from start, keeping the
-// backing arrays. Like NewProfile, a zero capacity is legal.
+// backing arrays. A zero capacity is legal — it models a machine fully
+// drained for maintenance, on which nothing can be placed — but a
+// negative one is a bug.
 func (p *Profile) Reset(start, totalProcs int64) {
 	if totalProcs < 0 {
 		panic(fmt.Sprintf("platform: negative profile capacity %d", totalProcs))
@@ -63,11 +51,6 @@ func (p *Profile) segmentAt(t int64) int {
 		panic(fmt.Sprintf("platform: time %d precedes profile start %d", t, p.times[0]))
 	}
 	return i - 1
-}
-
-// AvailableAt returns the free processors at instant t.
-func (p *Profile) AvailableAt(t int64) int64 {
-	return p.available[p.segmentAt(t)]
 }
 
 // split ensures a breakpoint exists exactly at t and returns its segment
@@ -189,16 +172,4 @@ func (p *Profile) Reserve(from, to, procs int64) {
 		}
 	}
 	p.coalesce(i, j)
-}
-
-// SegmentCount returns the number of live segments (for tests and
-// instrumentation).
-func (p *Profile) SegmentCount() int { return len(p.times) }
-
-// Segments returns a copy of the profile breakpoints, mainly for tests
-// and debugging.
-func (p *Profile) Segments() (times []int64, available []int64) {
-	times = append(times, p.times...)
-	available = append(available, p.available...)
-	return times, available
 }

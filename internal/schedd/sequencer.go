@@ -97,21 +97,42 @@ func (c *vclock) now() int64 {
 type session struct {
 	name   string
 	client int
-	queue  []sim.Command
-	head   int
+	queue  cmdFIFO
 	floor  int64
 	closed bool
 }
 
-func (s *session) pending() bool { return s.head < len(s.queue) }
+// cmdFIFO is a queue of pending commands. A pop clears the slot it
+// vacates. When the array is full and its vacated prefix is at least as
+// long as the live part, a push slides the live part down over it
+// instead of growing, so each slide is paid for by the pops before it
+// and a queue that never runs dry holds O(peak pending) commands, not
+// every command it ever held.
+type cmdFIFO struct {
+	buf  []sim.Command
+	head int
+}
 
-func (s *session) pop() sim.Command {
-	cmd := s.queue[s.head]
-	s.queue[s.head] = sim.Command{}
-	s.head++
-	if s.head == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.head = 0
+func (q *cmdFIFO) len() int { return len(q.buf) - q.head }
+
+// peek returns the head command; the queue must not be empty.
+func (q *cmdFIFO) peek() *sim.Command { return &q.buf[q.head] }
+
+func (q *cmdFIFO) push(cmd sim.Command) {
+	if len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, cmd)
+}
+
+func (q *cmdFIFO) pop() sim.Command {
+	cmd := q.buf[q.head]
+	q.buf[q.head] = sim.Command{}
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
 	}
 	return cmd
 }
@@ -184,8 +205,7 @@ type sequencer struct {
 
 	// fifo is the scaled-mode global queue (arrival order is the
 	// schedule, so sessions carry no ordering state).
-	fifo  []sim.Command
-	fhead int
+	fifo cmdFIFO
 	// tickPending gates scaled-mode advance synthesis on the ticker:
 	// emitting an advance per NextCommand call would hot-spin the
 	// engine, since the clock moves between any two reads.
@@ -267,13 +287,13 @@ func (s *sequencer) enqueue(name string, cmd sim.Command) error {
 			cmd.Job.SubmitTime = t
 		}
 		s.watermark = t
-		s.fifo = append(s.fifo, cmd)
+		s.fifo.push(cmd)
 	} else {
 		if cmd.Time < sess.floor {
 			return errf(http.StatusConflict, "schedd: session %q: command at %d is behind the session floor %d", name, cmd.Time, sess.floor)
 		}
 		sess.floor = cmd.Time
-		sess.queue = append(sess.queue, cmd)
+		sess.queue.push(cmd)
 	}
 	s.cond.Broadcast()
 	return nil
@@ -346,15 +366,8 @@ func (s *sequencer) NextCommand() (sim.Command, error) {
 	defer s.mu.Unlock()
 	for {
 		if s.clock != nil {
-			if s.fhead < len(s.fifo) {
-				cmd := s.fifo[s.fhead]
-				s.fifo[s.fhead] = sim.Command{}
-				s.fhead++
-				if s.fhead == len(s.fifo) {
-					s.fifo = s.fifo[:0]
-					s.fhead = 0
-				}
-				return cmd, nil
+			if s.fifo.len() > 0 {
+				return s.fifo.pop(), nil
 			}
 			if s.draining {
 				return sim.Command{}, io.EOF
@@ -388,9 +401,9 @@ func (s *sequencer) NextCommand() (sim.Command, error) {
 		minOpenFloor := int64(math.MaxInt64)
 		idle := true
 		for _, sess := range s.sessions {
-			if sess.pending() {
+			if sess.queue.len() > 0 {
 				idle = false
-				if best == nil || cmdLess(&sess.queue[sess.head], &best.queue[best.head], sess.name, best.name) {
+				if best == nil || cmdLess(sess.queue.peek(), best.queue.peek(), sess.name, best.name) {
 					best = sess
 				}
 			} else if !sess.closed {
@@ -400,8 +413,8 @@ func (s *sequencer) NextCommand() (sim.Command, error) {
 				}
 			}
 		}
-		if best != nil && best.queue[best.head].Time < minOpenFloor {
-			cmd := best.pop()
+		if best != nil && best.queue.peek().Time < minOpenFloor {
+			cmd := best.queue.pop()
 			if cmd.Time > s.watermark {
 				s.watermark = cmd.Time
 			}

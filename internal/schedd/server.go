@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -16,6 +15,10 @@ import (
 // maxBodyBytes bounds every request body; the largest legitimate
 // request is a what-if script, far below this.
 const maxBodyBytes = 1 << 20
+
+// streamChunk is the size at which the event stream writes out a batch
+// it is still encoding.
+const streamChunk = 64 << 10
 
 // JobSpec is the wire form of a submission: the SWF fields a live
 // client states. Runtime is the simulated job's actual running time —
@@ -96,35 +99,133 @@ func decodeStrict(r io.Reader, v any) error {
 // ParseSubmitRequest decodes and validates a POST /v1/jobs body: the
 // fuzz entry point. A nil error means the request would enqueue
 // (session permitting): positive job number, width, and requested
-// time, nonnegative instants.
+// time, nonnegative instants. A body of the canonical shape
+// (parseCanonical) is decoded without encoding/json; every other body
+// goes to decodeStrict, so both paths accept the same bodies and fail
+// with the same errors, which FuzzSubmitRequest pins.
 func ParseSubmitRequest(body []byte) (*SubmitRequest, error) {
-	var req SubmitRequest
-	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+	req := new(SubmitRequest)
+	if len(body) > maxBodyBytes || !parseCanonical(body, req) {
+		*req = SubmitRequest{}
+		if err := decodeStrict(bytes.NewReader(body), req); err != nil {
+			return nil, err
+		}
+	}
+	if err := req.validate(); err != nil {
 		return nil, err
 	}
+	return req, nil
+}
+
+// validate checks a decoded submission's values.
+func (req *SubmitRequest) validate() error {
 	if req.Session == "" {
-		return nil, errf(http.StatusBadRequest, "schedd: submit without a session")
+		return errf(http.StatusBadRequest, "schedd: submit without a session")
 	}
 	j := &req.Job
 	if j.Number <= 0 {
-		return nil, errf(http.StatusBadRequest, "schedd: job number %d must be positive", j.Number)
+		return errf(http.StatusBadRequest, "schedd: job number %d must be positive", j.Number)
 	}
 	if j.Procs <= 0 {
-		return nil, errf(http.StatusBadRequest, "schedd: job %d requests %d processors", j.Number, j.Procs)
+		return errf(http.StatusBadRequest, "schedd: job %d requests %d processors", j.Number, j.Procs)
 	}
 	if j.Request <= 0 {
-		return nil, errf(http.StatusBadRequest, "schedd: job %d has no requested time", j.Number)
+		return errf(http.StatusBadRequest, "schedd: job %d has no requested time", j.Number)
 	}
 	if j.Runtime < 0 {
-		return nil, errf(http.StatusBadRequest, "schedd: job %d has negative runtime %d", j.Number, j.Runtime)
+		return errf(http.StatusBadRequest, "schedd: job %d has negative runtime %d", j.Number, j.Runtime)
 	}
 	if j.Submit < 0 {
-		return nil, errf(http.StatusBadRequest, "schedd: job %d submits at negative instant %d", j.Number, j.Submit)
+		return errf(http.StatusBadRequest, "schedd: job %d submits at negative instant %d", j.Number, j.Submit)
 	}
 	if j.Partition < 0 {
-		return nil, errf(http.StatusBadRequest, "schedd: job %d has negative partition %d", j.Number, j.Partition)
+		return errf(http.StatusBadRequest, "schedd: job %d has negative partition %d", j.Number, j.Partition)
 	}
-	return &req, nil
+	return nil
+}
+
+// parseCanonical decodes a submission body of exactly the shape
+// json.Marshal(SubmitRequest), `schedd -replay` and perfbench's client
+// write, with no whitespace anywhere:
+//
+//	{"session":"S","job":{"number":N,"submit":N,"procs":N,"request":N,"runtime":N[,"user":N][,"partition":N]}}
+//
+// where S is printable ASCII without '"' or '\\', and N matches
+// -?(0|[1-9][0-9]{0,17}), which cannot overflow an int64. It reports
+// false for any other body, which the caller hands to decodeStrict.
+func parseCanonical(b []byte, req *SubmitRequest) bool {
+	rest, ok := bytes.CutPrefix(b, []byte(`{"session":"`))
+	if !ok {
+		return false
+	}
+	i := 0
+	for ; i < len(rest) && rest[i] != '"'; i++ {
+		if c := rest[i]; c < 0x20 || c > 0x7e || c == '\\' {
+			return false
+		}
+	}
+	if i == len(rest) {
+		return false
+	}
+	session := rest[:i]
+	p := wireCursor{rest[i+1:]}
+	j := &req.Job
+	if !p.field(`,"job":{"number":`, &j.Number) || !p.field(`,"submit":`, &j.Submit) ||
+		!p.field(`,"procs":`, &j.Procs) || !p.field(`,"request":`, &j.Request) ||
+		!p.field(`,"runtime":`, &j.Runtime) {
+		return false
+	}
+	if p.lit(`,"user":`) && !p.int(&j.User) {
+		return false
+	}
+	if p.lit(`,"partition":`) && !p.int(&j.Partition) {
+		return false
+	}
+	if string(p.b) != "}}" {
+		return false
+	}
+	req.Session = string(session)
+	return true
+}
+
+// wireCursor walks a canonical submission body.
+type wireCursor struct{ b []byte }
+
+// lit consumes s if the body continues with it.
+func (p *wireCursor) lit(s string) bool {
+	if len(p.b) < len(s) || string(p.b[:len(s)]) != s {
+		return false
+	}
+	p.b = p.b[len(s):]
+	return true
+}
+
+// field consumes the key literal and then an integer into dst.
+func (p *wireCursor) field(key string, dst *int64) bool {
+	return p.lit(key) && p.int(dst)
+}
+
+// int consumes -?(0|[1-9][0-9]{0,17}) into dst.
+func (p *wireCursor) int(dst *int64) bool {
+	b := p.b
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	n := 0
+	var v int64
+	for ; n < len(b) && n <= 18 && '0' <= b[n] && b[n] <= '9'; n++ {
+		v = v*10 + int64(b[n]-'0')
+	}
+	if n == 0 || n > 18 || (n > 1 && b[0] == '0') {
+		return false
+	}
+	if neg {
+		v = -v
+	}
+	*dst = v
+	p.b = b[n:]
+	return true
 }
 
 // writeError renders an error on the wire: typed *Error with its
@@ -139,6 +240,10 @@ func writeError(w http.ResponseWriter, err error) {
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
+
+// okBody is every successful POST's reply: the bytes
+// json.NewEncoder(w).Encode(map[string]bool{"ok": true}) writes.
+var okBody = []byte("{\"ok\":true}\n")
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -161,7 +266,8 @@ func (d *Daemon) Handler() http.Handler {
 				writeError(w, err)
 				return
 			}
-			writeJSON(w, map[string]bool{"ok": true})
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(okBody)
 		})
 	}
 
@@ -297,23 +403,39 @@ func (d *Daemon) serveEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
+	// Each batch is encoded into buf, written once and flushed once; buf
+	// is written early whenever it passes streamChunk bytes, so a burst
+	// does not grow it without bound.
+	var buf []byte
 	for {
 		batch, ok := sub.Next()
 		if !ok {
 			return
 		}
+		buf = buf[:0]
 		for i := range batch {
-			line, err := obs.MarshalLine(&batch[i])
+			mark := len(buf)
+			if sse {
+				buf = append(buf, "data: "...)
+			}
+			line, err := obs.AppendLine(buf, &batch[i])
 			if err != nil {
+				w.Write(buf[:mark])
 				return
 			}
+			buf = line
 			if sse {
-				if _, err := fmt.Fprintf(w, "data: %s\n", line); err != nil {
+				buf = append(buf, '\n')
+			}
+			if len(buf) >= streamChunk {
+				if _, err := w.Write(buf); err != nil {
 					return
 				}
-			} else if _, err := w.Write(line); err != nil {
-				return
+				buf = buf[:0]
 			}
+		}
+		if _, err := w.Write(buf); err != nil {
+			return
 		}
 		flusher.Flush()
 	}

@@ -26,11 +26,19 @@ func newHub() *hub {
 
 // subscriber is one event-stream consumer's mailbox.
 type subscriber struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []obs.Event
-	closed bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []obs.Event
+	// lent is the batch Next handed out last, spare its cleared array
+	// waiting to become the mailbox again, so a steady stream reuses two
+	// arrays instead of regrowing the mailbox for every batch.
+	lent, spare []obs.Event
+	closed      bool
 }
+
+// maxRecycled is the largest batch, in events, whose array the mailbox
+// reuses; the array of a larger burst is left to the collector.
+const maxRecycled = 4096
 
 // Trace implements obs.Tracer; the engine goroutine is the only caller.
 func (h *hub) Trace(ev *obs.Event) {
@@ -100,18 +108,30 @@ func (s *subscriber) close() {
 }
 
 // Next blocks for the next batch of events, swapping the whole mailbox
-// out in one take. It returns ok=false once the mailbox is closed and
-// drained — the stream's clean end.
+// out in one take. The batch stays valid until the next call, which
+// clears its array and reuses it as the mailbox. It returns ok=false
+// once the mailbox is closed and drained — the stream's clean end.
 func (s *subscriber) Next() ([]obs.Event, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.lent != nil {
+		if cap(s.lent) <= maxRecycled {
+			clear(s.lent)
+			if cap(s.queue) == 0 {
+				s.queue = s.lent[:0]
+			} else {
+				s.spare = s.lent[:0]
+			}
+		}
+		s.lent = nil
+	}
 	for len(s.queue) == 0 && !s.closed {
 		s.cond.Wait()
 	}
 	if len(s.queue) == 0 {
 		return nil, false
 	}
-	batch := s.queue
-	s.queue = nil
-	return batch, true
+	s.lent = s.queue
+	s.queue, s.spare = s.spare, nil
+	return s.lent, true
 }

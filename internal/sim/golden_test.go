@@ -286,7 +286,7 @@ func goldenDigests(t *testing.T) map[string]string {
 					hashResult(d, res, sink)
 					if col != nil {
 						for _, ev := range stripNanos(col.Events()) {
-							line, err := obs.MarshalLine(&ev)
+							line, err := obs.AppendLine(nil, &ev)
 							if err != nil {
 								t.Fatal(err)
 							}
