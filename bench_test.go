@@ -238,8 +238,10 @@ func BenchmarkFigure5_PredictedValueECDF(b *testing.B) {
 // availability profiles), and the following jobs form a large waiting
 // queue in which nothing fits right now — the steady state a backlogged
 // simulation spends most of its time in, where every Pick must scan to
-// the end before declining.
-func schedPickState(b *testing.B, log string, queued int) (*platform.Machine, []*job.Job, int64) {
+// the end before declining. Loading keeps idle processors free on top
+// of the residual ones, and every queued job is wider than all that are
+// free.
+func schedPickState(b *testing.B, log string, queued int, idle int64) (*platform.Machine, []*job.Job, int64) {
 	b.Helper()
 	w := benchWorkload(b, log)
 	m := platform.New(w.MaxProcs)
@@ -250,10 +252,10 @@ func schedPickState(b *testing.B, log string, queued int) (*platform.Machine, []
 	// benchmark loops will reach (per-event benchmarks advance the
 	// clock), keeping the availability profile stationary across
 	// iterations while preserving the preset's spread of release times.
-	for ; i < len(w.Jobs) && m.Free()*50 > m.Total(); i++ {
+	for ; i < len(w.Jobs) && (m.Free()-idle)*50 > m.Total(); i++ {
 		j := job.FromSWF(&w.Jobs[i])
 		j.Prediction = j.ClampPrediction(j.Request) + (1 << 40)
-		if j.Procs > m.Free() {
+		if j.Procs > m.Free()-idle {
 			continue
 		}
 		j.Started = true
@@ -283,7 +285,7 @@ func schedPickState(b *testing.B, log string, queued int) (*platform.Machine, []
 // incremental policies answer repeat calls from their caches; the
 // reference policies rebuild availability state from scratch every time.
 func benchmarkPick(b *testing.B, p sched.Policy) {
-	m, queue, now := schedPickState(b, "Metacentrum", 1000)
+	m, queue, now := schedPickState(b, "Metacentrum", 1000, 0)
 	p.Pick(now, m, queue) // prime incremental state outside the timer
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -301,11 +303,33 @@ func benchmarkPick(b *testing.B, p sched.Policy) {
 // Conservative's work is refilling its scratch profile from the
 // machine (Machine.FillAvailability, one pass over the release order)
 // plus one Profile.Fits pass over the queue: its scan is cut before the
-// first reservation, so no FindStart or Reserve is timed. Instants stay
-// far below the running jobs' predicted ends, so every iteration sees
-// the same availability shape.
+// first reservation, so no job is planned (Profile.Place); the
+// planning case below times that. Instants stay far below the running
+// jobs' predicted ends, so every iteration sees the same availability
+// shape.
 func benchmarkPickPerEvent(b *testing.B, p sched.Policy) {
-	m, queue, now := schedPickState(b, "Metacentrum", 1000)
+	m, queue, now := schedPickState(b, "Metacentrum", 1000, 0)
+	benchmarkPerEvent(b, p, m, queue, now)
+}
+
+// benchmarkPickPerEventPlanning is benchmarkPickPerEvent on a state
+// whose scan is never cut: one processor stays idle and a one-processor
+// job waits at the queue's tail, so it fits now at every instant, and
+// every Pick plans the whole queue, one Profile.Place per job, before
+// answering with that job.
+func benchmarkPickPerEventPlanning(b *testing.B, p sched.Policy) {
+	m, queue, now := schedPickState(b, "Metacentrum", 1000, 1)
+	tail := queue[len(queue)-1]
+	tail.Procs = 1
+	if p.Pick(now, m, queue) != tail {
+		b.Fatal("the tail job is not the one that fits now")
+	}
+	benchmarkPerEvent(b, p, m, queue, now)
+}
+
+// benchmarkPerEvent primes p at now, then times one Pick per op, each at
+// a fresh instant.
+func benchmarkPerEvent(b *testing.B, p sched.Policy, m *platform.Machine, queue []*job.Job, now int64) {
 	p.Pick(now, m, queue)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -319,6 +343,7 @@ func BenchmarkSchedPickConservative(b *testing.B) {
 	b.Run("reference", func(b *testing.B) { benchmarkPick(b, sched.ReferenceConservative{}) })
 	b.Run("incremental-per-event", func(b *testing.B) { benchmarkPickPerEvent(b, sched.NewConservative()) })
 	b.Run("reference-per-event", func(b *testing.B) { benchmarkPickPerEvent(b, sched.ReferenceConservative{}) })
+	b.Run("incremental-per-event-planning", func(b *testing.B) { benchmarkPickPerEventPlanning(b, sched.NewConservative()) })
 }
 
 // schedShadowState builds the state EASY computes its shadow in on a

@@ -2,9 +2,11 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/job"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -109,5 +111,30 @@ func TestCollectorSketchTracksDistribution(t *testing.T) {
 	}
 	if n := c.BsldSketch().Count(); n != int64(c.Finished()) {
 		t.Fatalf("bsld sketch saw %d samples, want %d", n, c.Finished())
+	}
+}
+
+// BenchmarkCollectorObserve times the streaming sink's per-job cost,
+// Collector.Observe with its two Sketch.Add calls, on one collector as
+// a streamed run uses it. The finished jobs' waits run log-uniformly
+// from 0 to about 11 days and their runtimes from 1 s to about a day,
+// so bounded slowdowns run from 1 to about 10^5 and both sketches see
+// values across their whole range while they compact.
+func BenchmarkCollectorObserve(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 0x5eed))
+	logUniform := func(hi float64) int64 { return int64(math.Exp(r.Float64() * math.Log(hi))) }
+	jobs := make([]*job.Job, 4096)
+	for i := range jobs {
+		runtime := logUniform(1e5)
+		jobs[i] = &job.Job{
+			Procs: 1 + r.Int64N(128), Runtime: runtime, SubmitPrediction: 1 + r.Int64N(2*runtime),
+			Started: true, Start: logUniform(1e6) - 1,
+		}
+	}
+	c := NewCollector()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Observe(jobs[i%len(jobs)])
 	}
 }

@@ -7,12 +7,16 @@ import (
 
 // Profile is a piecewise-constant availability timeline: available[i]
 // processors are free during [times[i], times[i+1]). The last segment
-// extends to infinity. It supports the find-earliest-hole and reserve
-// operations conservative backfilling needs. A scheduler refills one
-// profile from the machine at each instant it plans
-// (Machine.FillAvailability); Reset and Reserve reuse the backing arrays,
-// so a reused profile reaches a steady state where planning allocates
-// nothing.
+// extends to infinity and always holds the profile's total, since every
+// reservation ends at a finite instant. A profile is always coalesced:
+// no two adjacent segments hold equal availability. Reset,
+// FillAvailability and every reservation keep this true, so a walk's
+// cost follows the distinct availability steps, not the reservation
+// churn. It supports the find-earliest-hole and reserve operations
+// conservative backfilling needs. A scheduler refills one profile from
+// the machine at each instant it plans (Machine.FillAvailability); Reset
+// and the reservations reuse the backing arrays, so a reused profile
+// reaches a steady state where planning allocates nothing.
 type Profile struct {
 	times     []int64
 	available []int64
@@ -43,8 +47,13 @@ func (p *Profile) Reset(start, totalProcs int64) {
 }
 
 // segmentAt returns the index of the segment containing t (t must be >=
-// the profile start).
+// the profile start). Conservative plans at the instant its profile was
+// filled from, so an instant in the first segment is answered without a
+// search.
 func (p *Profile) segmentAt(t int64) int {
+	if t >= p.times[0] && (len(p.times) == 1 || t < p.times[1]) {
+		return 0
+	}
 	// The first segment with times[i] > t, minus one.
 	i := sort.Search(len(p.times), func(i int) bool { return p.times[i] > t })
 	if i == 0 {
@@ -53,78 +62,59 @@ func (p *Profile) segmentAt(t int64) int {
 	return i - 1
 }
 
-// split ensures a breakpoint exists exactly at t and returns its segment
-// index.
-func (p *Profile) split(t int64) int {
-	i := p.segmentAt(t)
-	if p.times[i] == t {
-		return i
-	}
-	p.times = append(p.times, 0)
-	p.available = append(p.available, 0)
-	copy(p.times[i+2:], p.times[i+1:])
-	copy(p.available[i+2:], p.available[i+1:])
-	p.times[i+1] = t
-	p.available[i+1] = p.available[i]
-	return i + 1
-}
-
-// coalesce merges runs of equal-availability segments in the index range
-// [lo, hi], keeping the profile minimal so scan costs do not grow with
-// reservation churn. Indices are clamped to the valid range.
-func (p *Profile) coalesce(lo, hi int) {
-	if lo < 1 {
-		lo = 1 // segment 0 is the origin and is never merged away
-	}
-	if hi >= len(p.times) {
-		hi = len(p.times) - 1
-	}
-	if lo > hi {
-		return
-	}
-	w := lo
-	for r := lo; r <= hi; r++ {
-		if p.available[r] == p.available[w-1] {
-			continue // drop breakpoint r: same availability as its left neighbor
-		}
-		p.times[w] = p.times[r]
-		p.available[w] = p.available[r]
-		w++
-	}
-	if w <= hi {
-		n := copy(p.times[w:], p.times[hi+1:])
-		copy(p.available[w:], p.available[hi+1:])
-		p.times = p.times[:w+n]
-		p.available = p.available[:w+n]
-	}
-}
-
 // FindStart returns the earliest instant >= earliest at which procs
-// processors are continuously free for duration seconds.
+// processors are continuously free for duration seconds, treating
+// duration <= 0 as 1, or InfiniteTime when procs exceeds the total.
 func (p *Profile) FindStart(earliest, duration, procs int64) int64 {
+	start, _ := p.find(earliest, max(duration, 1), procs)
+	return start
+}
+
+// Place reserves procs processors for duration seconds from the instant
+// FindStart(earliest, duration, procs) returns, and returns that
+// instant. It is FindStart and Reserve in one forward walk: the
+// reservation starts from the segment where the search stopped. Like
+// FindStart it treats duration <= 0 as 1; a job wider than the profile
+// gets InfiniteTime and reserves nothing.
+func (p *Profile) Place(earliest, duration, procs int64) int64 {
+	duration = max(duration, 1)
+	start, i := p.find(earliest, duration, procs)
+	if start < InfiniteTime {
+		p.reserve(i, start, start+duration, procs)
+	}
+	return start
+}
+
+// find is FindStart's walk for duration >= 1; it also returns the index
+// of the segment holding the start. It crosses each segment once: it
+// steps over segments lacking procs, checks the window only from a
+// segment that has them, and restarts after the first short segment
+// in the window. The last segment holds the total, so for procs <=
+// total the step-over stops and the walk ends with a start.
+func (p *Profile) find(earliest, duration, procs int64) (start int64, i int) {
 	if procs > p.total {
-		return InfiniteTime
+		return InfiniteTime, -1
 	}
-	if duration <= 0 {
-		duration = 1
-	}
-	start := earliest
-	if start < p.times[0] {
-		start = p.times[0]
-	}
-	for i := p.segmentAt(start); ; {
-		k := p.shortSegment(i, start+duration, procs)
-		if k < 0 {
-			return start
+	start = max(earliest, p.times[0])
+	i = p.segmentAt(start)
+	times, avail := p.times, p.available[:len(p.times)]
+	for {
+		if avail[i] < procs {
+			for i++; avail[i] < procs; i++ {
+			}
+			start = times[i]
 		}
-		if k+1 == len(p.times) {
-			// Last segment lacks capacity and lasts forever: only
-			// possible if procs > total, excluded above.
-			return InfiniteTime
+		end := start + duration
+		k := i + 1
+		for k < len(times) && times[k] < end && avail[k] >= procs {
+			k++
 		}
-		// Restart after the short segment.
+		if k == len(times) || times[k] >= end {
+			return start, i
+		}
+		// Segment k is short: restart after it.
 		i = k + 1
-		start = p.times[i]
+		start = times[i]
 	}
 }
 
@@ -132,44 +122,69 @@ func (p *Profile) FindStart(earliest, duration, procs int64) int64 {
 // duration seconds from start, i.e. whether FindStart(start, duration,
 // procs) would return start, without searching past the first segment
 // that lacks them. Like FindStart it treats duration <= 0 as 1; start
-// must not precede the profile start.
+// must not precede the profile start. No segment holds more than the
+// total, so a job wider than the profile fails on the first segment.
 func (p *Profile) Fits(start, duration, procs int64) bool {
-	if procs > p.total {
-		return false
-	}
-	if duration <= 0 {
-		duration = 1
-	}
-	return p.shortSegment(p.segmentAt(start), start+duration, procs) < 0
-}
-
-// shortSegment returns the first segment from index i on that begins
-// before end and has fewer than procs processors free, or -1 if none
-// does: the window from segment i up to end fits exactly when it
-// returns -1.
-func (p *Profile) shortSegment(i int, end, procs int64) int {
-	for k := i; k < len(p.times) && p.times[k] < end; k++ {
-		if p.available[k] < procs {
-			return k
+	times, avail := p.times, p.available[:len(p.times)]
+	end := start + max(duration, 1)
+	for k := p.segmentAt(start); k < len(times) && times[k] < end; k++ {
+		if avail[k] < procs {
+			return false
 		}
 	}
-	return -1
+	return true
 }
 
 // Reserve subtracts procs processors during [from, to). It panics if the
 // reservation would drive availability negative — callers must use
-// FindStart first.
+// FindStart first, or plan with Place.
 func (p *Profile) Reserve(from, to, procs int64) {
 	if from >= to {
 		panic(fmt.Sprintf("platform: empty reservation [%d,%d)", from, to))
 	}
-	i := p.split(from)
-	j := p.split(to)
-	for k := i; k < j; k++ {
-		p.available[k] -= procs
-		if p.available[k] < 0 {
+	p.reserve(p.segmentAt(from), from, to, procs)
+}
+
+// reserve is Reserve for the segment i that holds from: it splits
+// segment i at from, walks forward subtracting procs up to to, and
+// splits there. Subtracting one amount from a run of segments keeps
+// the run's inner neighbours distinct, so in a coalesced profile only
+// the run's two edges can merge.
+func (p *Profile) reserve(i int, from, to, procs int64) {
+	if p.times[i] < from {
+		i++
+		p.insert(i, from, p.available[i-1])
+	}
+	times, avail := p.times, p.available[:len(p.times)]
+	k := i
+	for ; k < len(times) && times[k] < to; k++ {
+		avail[k] -= procs
+		if avail[k] < 0 {
 			panic(fmt.Sprintf("platform: reservation [%d,%d)x%d overbooks segment %d", from, to, procs, k))
 		}
 	}
-	p.coalesce(i, j)
+	if k == len(times) || times[k] > to {
+		p.insert(k, to, avail[k-1]+procs)
+	}
+	p.merge(k)
+	p.merge(i)
+}
+
+// insert adds a breakpoint at t with avail processors free as segment i.
+func (p *Profile) insert(i int, t, avail int64) {
+	p.times = append(p.times, 0)
+	p.available = append(p.available, 0)
+	copy(p.times[i+1:], p.times[i:])
+	copy(p.available[i+1:], p.available[i:])
+	p.times[i] = t
+	p.available[i] = avail
+}
+
+// merge drops breakpoint i when segment i holds what its left neighbour
+// holds. Segment 0 is the origin and is never merged away.
+func (p *Profile) merge(i int) {
+	if i > 0 && p.available[i-1] == p.available[i] {
+		p.times = append(p.times[:i], p.times[i+1:]...)
+		p.available = append(p.available[:i], p.available[i+1:]...)
+	}
 }

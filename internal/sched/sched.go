@@ -354,16 +354,8 @@ func (c *Conservative) rescan(now int64, m *platform.Machine, queue []*job.Job) 
 // scanJob computes one queued job's reservation against the scratch
 // profile, appending it to the decision cache when it may start now.
 func (c *Conservative) scanJob(j *job.Job, now int64) {
-	duration := j.Prediction
-	if duration < 1 {
-		duration = 1
-	}
-	start := c.scratch.FindStart(now, duration, j.Procs)
-	if start == now {
+	if c.scratch.Place(now, j.Prediction, j.Procs) == now {
 		c.cache = append(c.cache, j)
-	}
-	if start < platform.InfiniteTime {
-		c.scratch.Reserve(start, start+duration, j.Procs)
 	}
 }
 

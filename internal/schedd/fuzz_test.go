@@ -153,6 +153,9 @@ func FuzzEventStream(f *testing.F) {
 	for _, s := range []string{"<", "&", ">", "\x00", "\u2028", "\u2029", "\xff", "\"\\", "a,,b"} {
 		seed(obs.Event{T: 1, Kind: s, Workload: s, Triple: s, Cluster: s, Router: s, Eligible: []string{s, s}, Policy: s})
 	}
+	// One file, overwritten by every input: a fuzz process runs its
+	// inputs one at a time.
+	path := filepath.Join(f.TempDir(), "stream.jsonl")
 	f.Fuzz(func(t *testing.T, at int64, kind, workload, triple string, jobID int64, cluster string,
 		procs, request, prediction int64, router, eligible, policy string, picked int64,
 		queueLen int, free, eventual, nanos, wait, runtime, predicted, predErr int64,
@@ -182,7 +185,6 @@ func FuzzEventStream(f *testing.F) {
 			t.Fatalf("not a single JSONL line: %q", line)
 		}
 
-		path := filepath.Join(t.TempDir(), "stream.jsonl")
 		if err := os.WriteFile(path, line, 0o644); err != nil {
 			t.Fatal(err)
 		}
