@@ -9,7 +9,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkSchedPick|BenchmarkSchedSim|BenchmarkScheddIntake' -benchmem . | \
+//	go test -run '^$' -bench 'BenchmarkSchedPick|BenchmarkSchedSim|BenchmarkScheddIntake|BenchmarkPushPop|BenchmarkScanner' \
+//	    -benchmem . ./internal/eventq ./internal/swf | \
 //	    go run ./cmd/benchdiff -baseline BENCH_baseline.json -
 //
 //	go run ./cmd/benchdiff -baseline BENCH_baseline.json -update bench.out
@@ -81,14 +82,18 @@ func (m machine) String() string {
 	return fmt.Sprintf("%s, GOMAXPROCS=%d, %s", m.CPU, m.GOMAXPROCS, m.Go)
 }
 
-// gatedPattern is the -bench pattern CI runs for the perf gate; the note
-// -update writes quotes it.
-const gatedPattern = "BenchmarkSchedPick|BenchmarkSchedSim|BenchmarkScheddIntake"
+// gatedPattern and gatedPackages are the -bench pattern and the
+// packages CI runs for the perf gate; the note -update writes quotes
+// them.
+const (
+	gatedPattern  = "BenchmarkSchedPick|BenchmarkSchedSim|BenchmarkScheddIntake|BenchmarkPushPop|BenchmarkScanner"
+	gatedPackages = ". ./internal/eventq ./internal/swf"
+)
 
 // baselineNote is the note -update writes into the baseline.
 const baselineNote = "Performance baseline for the CI perf gate (cmd/benchdiff). " +
 	"Regenerate after an intentional performance change with: " +
-	"go test -run '^$' -bench '" + gatedPattern + "' -benchmem . " +
+	"go test -run '^$' -bench '" + gatedPattern + "' -benchmem " + gatedPackages + " " +
 	"| go run ./cmd/benchdiff -baseline BENCH_baseline.json -update -"
 
 // Baseline is the checked-in BENCH_baseline.json schema.

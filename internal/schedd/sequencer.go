@@ -361,16 +361,17 @@ func (s *sequencer) snapshot() (watermark int64, open int, draining bool) {
 // synthesized advance promises whenever the floors (or the scaled
 // clock) move past the last promise, and io.EOF once the daemon is
 // draining and the queues are dry.
-func (s *sequencer) NextCommand() (sim.Command, error) {
+func (s *sequencer) NextCommand(cmd *sim.Command) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if s.clock != nil {
 			if s.fifo.len() > 0 {
-				return s.fifo.pop(), nil
+				*cmd = s.fifo.pop()
+				return nil
 			}
 			if s.draining {
-				return sim.Command{}, io.EOF
+				return io.EOF
 			}
 			if s.tickPending {
 				s.tickPending = false
@@ -381,7 +382,8 @@ func (s *sequencer) NextCommand() (sim.Command, error) {
 				if t > s.lastAdvance {
 					s.lastAdvance = t
 					s.watermark = t
-					return sim.AdvanceCommand(t), nil
+					*cmd = sim.AdvanceCommand(t)
+					return nil
 				}
 			}
 			s.cond.Wait()
@@ -414,14 +416,14 @@ func (s *sequencer) NextCommand() (sim.Command, error) {
 			}
 		}
 		if best != nil && best.queue.peek().Time < minOpenFloor {
-			cmd := best.queue.pop()
+			*cmd = best.queue.pop()
 			if cmd.Time > s.watermark {
 				s.watermark = cmd.Time
 			}
-			return cmd, nil
+			return nil
 		}
 		if idle && s.draining {
-			return sim.Command{}, io.EOF
+			return io.EOF
 		}
 		// Emission is blocked; if the floors have collectively moved,
 		// promise the progress to the engine so queued events before
@@ -431,7 +433,8 @@ func (s *sequencer) NextCommand() (sim.Command, error) {
 			if minOpenFloor > s.watermark {
 				s.watermark = minOpenFloor
 			}
-			return sim.AdvanceCommand(minOpenFloor), nil
+			*cmd = sim.AdvanceCommand(minOpenFloor)
+			return nil
 		}
 		s.cond.Wait()
 	}

@@ -24,9 +24,9 @@ func TestSessionQueueNeverDryStaysSmall(t *testing.T) {
 	emitted := make(chan sim.Command)
 	go func() {
 		defer close(emitted)
+		var cmd sim.Command
 		for {
-			cmd, err := s.NextCommand()
-			if err != nil {
+			if err := s.NextCommand(&cmd); err != nil {
 				return
 			}
 			if cmd.Kind == sim.CmdSubmit {

@@ -19,12 +19,12 @@ type commandLog struct {
 	cmds []sim.Command
 }
 
-func (l *commandLog) append(cmd sim.Command) {
+func (l *commandLog) append(cmd *sim.Command) {
 	if cmd.Kind == sim.CmdAdvance {
 		return
 	}
 	l.mu.Lock()
-	l.cmds = append(l.cmds, cmd)
+	l.cmds = append(l.cmds, *cmd)
 	l.mu.Unlock()
 }
 
@@ -43,12 +43,12 @@ type loggingSource struct {
 	log  *commandLog
 }
 
-func (s *loggingSource) NextCommand() (sim.Command, error) {
-	cmd, err := s.next.NextCommand()
+func (s *loggingSource) NextCommand(cmd *sim.Command) error {
+	err := s.next.NextCommand(cmd)
 	if err == nil {
 		s.log.append(cmd)
 	}
-	return cmd, err
+	return err
 }
 
 // WhatIfEvent is one hypothetical disruption of a projection: a drain,

@@ -94,13 +94,16 @@ func AdvanceCommand(t int64) Command {
 }
 
 // CommandSource feeds the event loop. NextCommand blocks until the next
-// command is available and returns io.EOF to close the intake — the
-// run then drains every queued event to completion and returns. RunLive
-// takes one directly: the channel-backed sequencer in internal/schedd
-// is the production implementation, and SliceCommands replays a
-// recorded log. The other entry points adapt their input to one.
+// command is available and writes it into *cmd, overwriting every
+// field, so the loop's one pending command is filled in place; it
+// returns io.EOF to close the intake — the run then drains every queued
+// event to completion and returns — and may leave *cmd in any state on
+// an error. RunLive takes one directly: the channel-backed sequencer in
+// internal/schedd is the production implementation, and SliceCommands
+// replays a recorded log. The other entry points adapt their input to
+// one.
 type CommandSource interface {
-	NextCommand() (Command, error)
+	NextCommand(cmd *Command) error
 }
 
 // SliceCommands is a CommandSource over a fixed, already-ordered
@@ -117,13 +120,13 @@ func NewSliceCommands(cmds []Command) *SliceCommands {
 }
 
 // NextCommand implements CommandSource.
-func (s *SliceCommands) NextCommand() (Command, error) {
+func (s *SliceCommands) NextCommand(cmd *Command) error {
 	if s.i >= len(s.cmds) {
-		return Command{}, io.EOF
+		return io.EOF
 	}
-	c := s.cmds[s.i]
+	*cmd = s.cmds[s.i]
 	s.i++
-	return c, nil
+	return nil
 }
 
 // RunLive runs the event loop under an open-ended, externally produced

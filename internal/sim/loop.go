@@ -30,7 +30,7 @@ func (e *engine) run(src CommandSource) (*Result, error) {
 				if t, ok := e.q.PeekTime(); ok && t < e.cutoff {
 					break
 				}
-				cmd, err := src.NextCommand()
+				err := src.NextCommand(&pending)
 				if err == io.EOF {
 					exhausted = true
 					break
@@ -38,7 +38,7 @@ func (e *engine) run(src CommandSource) (*Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("sim: %q: %w", e.res.Workload, err)
 				}
-				pending, havePending = cmd, true
+				havePending = true
 			}
 			if t, ok := e.q.PeekTime(); ok && pending.Time > t {
 				break
@@ -276,19 +276,20 @@ func (e *engine) streamed(src workload.Source, script *scenario.Script) (Command
 }
 
 // submitCommands is a workload.Source seen as a stream of submit
-// commands with no advance promises.
+// commands with no advance promises. Each record is pulled straight
+// into the loop's pending command.
 type submitCommands struct{ src workload.Source }
 
-func (s submitCommands) NextCommand() (Command, error) {
-	rec, err := s.src.NextJob()
-	if err != nil {
-		return Command{}, err
+func (s submitCommands) NextCommand(cmd *Command) error {
+	if err := workload.Pull(s.src, &cmd.Job); err != nil {
+		return err
 	}
-	return SubmitCommand(rec), nil
+	cmd.Kind, cmd.Time, cmd.ID, cmd.Procs = CmdSubmit, cmd.Job.SubmitTime, 0, 0
+	return nil
 }
 
 // noCommands is the intake of a preloaded run: every job was admitted
 // before the loop started.
 type noCommands struct{}
 
-func (noCommands) NextCommand() (Command, error) { return Command{}, io.EOF }
+func (noCommands) NextCommand(*Command) error { return io.EOF }

@@ -85,7 +85,8 @@ func FuzzParseJobLine(f *testing.F) {
 			{line, line},
 			{string(bytes.TrimSpace([]byte(line))), strings.TrimSpace(line)},
 		} {
-			got, gerr := parseJobLine([]byte(c.got))
+			var got Job
+			gerr := parseJobLine([]byte(c.got), &got)
 			want, werr := refParseJobLine(c.want)
 			if (gerr != nil) != (werr != nil) || gerr != nil && gerr.Error() != werr.Error() {
 				t.Fatalf("%q: error %v, reference %v", line, gerr, werr)

@@ -60,17 +60,17 @@ func parseHeaderLine(h *Header, line string) {
 // treat as space in ASCII text.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
-// parseJobLine parses one data line in a single pass that allocates
-// nothing: a field of an optional '-' and at most 18 ASCII digits
-// (which cannot overflow) is read as it is split off. A line with any
-// other field among its first 18 (a '+', a float, more digits, anything
-// invalid) goes whole to parseFields through strings.Fields and
-// strconv, so the inputs accepted, the values and the error texts are
-// exactly theirs. That includes every line a Unicode space such as
+// parseJobLine parses one data line into *j, which it leaves untouched
+// on error, in a single pass that allocates nothing: a field of an
+// optional '-' and at most 18 ASCII digits (which cannot overflow) is
+// read as it is split off. A line with any other field among its first
+// 18 (a '+', a float, more digits, anything invalid) goes whole to
+// parseFields through strings.Fields and strconv, so the inputs
+// accepted, the values and the error texts are exactly theirs. That includes every line a Unicode space such as
 // U+0085 or U+00A0 (which only strings.Fields splits on) could split
 // differently: the space's bytes are >= 0x80, so the field they sit in
 // is odd, and past the 18th field a split changes nothing.
-func parseJobLine(line []byte) (Job, error) {
+func parseJobLine(line []byte, j *Job) error {
 	var vals [18]int64
 	var odd bool
 	n := 0
@@ -107,18 +107,20 @@ func parseJobLine(line []byte) (Job, error) {
 		n++
 	}
 	if odd {
-		return parseFields(strings.Fields(string(line)))
+		return parseFields(strings.Fields(string(line)), j)
 	}
 	if n < len(vals) {
-		return Job{}, fmt.Errorf("expected 18 fields, got %d", n)
+		return fmt.Errorf("expected 18 fields, got %d", n)
 	}
-	return jobOf(&vals), nil
+	*j = jobOf(&vals)
+	return nil
 }
 
-// parseFields parses a data line already split into fields.
-func parseFields(fields []string) (Job, error) {
+// parseFields parses a data line already split into fields into *j,
+// leaving it untouched on error.
+func parseFields(fields []string, j *Job) error {
 	if len(fields) < 18 {
-		return Job{}, fmt.Errorf("expected 18 fields, got %d", len(fields))
+		return fmt.Errorf("expected 18 fields, got %d", len(fields))
 	}
 	var vals [18]int64
 	for i := range vals {
@@ -127,13 +129,14 @@ func parseFields(fields []string) (Job, error) {
 			// Some archive logs use floats in field 6 (avg CPU time).
 			f, ferr := strconv.ParseFloat(fields[i], 64)
 			if ferr != nil {
-				return Job{}, fmt.Errorf("field %d %q: %v", i+1, fields[i], err)
+				return fmt.Errorf("field %d %q: %v", i+1, fields[i], err)
 			}
 			v = int64(f)
 		}
 		vals[i] = v
 	}
-	return jobOf(&vals), nil
+	*j = jobOf(&vals)
+	return nil
 }
 
 // jobOf builds a record from its 18 fields in file order.

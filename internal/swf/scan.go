@@ -44,8 +44,18 @@ func (s *Scanner) Line() int { return s.lineNo }
 // job, and a positional parse error (matching Parse's) on malformed
 // data; once an error is returned every further call repeats it.
 func (s *Scanner) Next() (Job, error) {
+	var j Job
+	if err := s.NextInto(&j); err != nil {
+		return Job{}, err
+	}
+	return j, nil
+}
+
+// NextInto is Next parsing straight into *j, which it leaves untouched
+// on error.
+func (s *Scanner) NextInto(j *Job) error {
 	if s.err != nil {
-		return Job{}, s.err
+		return s.err
 	}
 	for s.sc.Scan() {
 		s.lineNo++
@@ -59,19 +69,18 @@ func (s *Scanner) Next() (Job, error) {
 			parseHeaderLine(&s.header, string(line))
 			continue
 		}
-		job, err := parseJobLine(line)
-		if err != nil {
+		if err := parseJobLine(line, j); err != nil {
 			s.err = fmt.Errorf("swf: line %d: %w", s.lineNo, err)
-			return Job{}, s.err
+			return s.err
 		}
-		return job, nil
+		return nil
 	}
 	if err := s.sc.Err(); err != nil {
 		s.err = fmt.Errorf("swf: read: %w", err)
-		return Job{}, s.err
+		return s.err
 	}
 	s.err = io.EOF
-	return Job{}, io.EOF
+	return io.EOF
 }
 
 // Writer serializes an SWF trace incrementally: a header followed by one

@@ -68,29 +68,24 @@ func interrupted(j *Job) bool {
 }
 
 // ApplyStatusJob applies the completion-status policy to a single
-// record: it reports whether the job survives and returns the (possibly
-// repaired) record. It is the per-job core of ApplyStatus, shared with
-// the streaming job sources so the two paths can never drift.
-func ApplyStatusJob(j *Job, mode StatusMode) (keep bool, out Job) {
-	out = *j
+// record in place: it reports whether the job survives, repairing *j
+// when it does. It is the per-job core of ApplyStatus, shared with the
+// streaming job sources so the two paths can never drift.
+func ApplyStatusJob(j *Job, mode StatusMode) (keep bool) {
 	switch mode {
 	case StatusSkip:
-		if interrupted(j) {
-			return false, out
-		}
+		return !interrupted(j)
 	case StatusTruncate:
-		if interrupted(j) && j.RunTime <= 0 {
-			return false, out
-		}
+		return !interrupted(j) || j.RunTime > 0
 	case StatusReplay:
 		if j.Status == StatusCancelled && j.RunTime <= 0 {
 			if j.Request() <= 0 {
-				return false, out // no usable runtime even hypothetically
+				return false // no usable runtime even hypothetically
 			}
-			out.RunTime = j.Request()
+			j.RunTime = j.Request()
 		}
 	}
-	return true, out
+	return true
 }
 
 // ApplyStatus returns a copy of the trace with the completion-status
@@ -104,8 +99,9 @@ func ApplyStatus(tr *Trace, mode StatusMode) *Trace {
 		return out
 	}
 	for i := range tr.Jobs {
-		if keep, j := ApplyStatusJob(&tr.Jobs[i], mode); keep {
-			out.Jobs = append(out.Jobs, j)
+		out.Jobs = append(out.Jobs, tr.Jobs[i])
+		if !ApplyStatusJob(&out.Jobs[len(out.Jobs)-1], mode) {
+			out.Jobs = out.Jobs[:len(out.Jobs)-1]
 		}
 	}
 	return out

@@ -53,26 +53,25 @@ func Validate(tr *Trace, maxProcs int64) []ValidationIssue {
 	return issues
 }
 
-// CleanJob applies Clean's per-job rules to a single record: it reports
-// whether a simulation can use the job and returns the (possibly
-// repaired) record. It is the per-job core of Clean, shared with the
-// streaming job sources so the two paths can never drift. maxProcs <= 0
-// skips the capacity check.
-func CleanJob(j *Job, maxProcs int64) (keep bool, out Job) {
-	out = *j
+// CleanJob applies Clean's per-job rules to a single record in place:
+// it reports whether a simulation can use the job, repairing *j when it
+// can. It is the per-job core of Clean, shared with the streaming job
+// sources so the two paths can never drift. maxProcs <= 0 skips the
+// capacity check.
+func CleanJob(j *Job, maxProcs int64) (keep bool) {
 	if j.RunTime <= 0 || j.Procs() <= 0 || j.SubmitTime < 0 {
-		return false, out
+		return false
 	}
 	if maxProcs > 0 && j.Procs() > maxProcs {
-		return false, out
+		return false
 	}
-	if out.RequestedTime > 0 && out.RunTime > out.RequestedTime {
-		out.RunTime = out.RequestedTime
+	if j.RequestedTime > 0 && j.RunTime > j.RequestedTime {
+		j.RunTime = j.RequestedTime
 	}
-	if out.RequestedTime <= 0 {
-		out.RequestedTime = out.RunTime
+	if j.RequestedTime <= 0 {
+		j.RequestedTime = j.RunTime
 	}
-	return true, out
+	return true
 }
 
 // Clean returns a copy of the trace with jobs a simulation cannot use
@@ -86,8 +85,9 @@ func Clean(tr *Trace, maxProcs int64) *Trace {
 	}
 	out := &Trace{Header: tr.Header}
 	for i := range tr.Jobs {
-		if keep, j := CleanJob(&tr.Jobs[i], maxProcs); keep {
-			out.Jobs = append(out.Jobs, j)
+		out.Jobs = append(out.Jobs, tr.Jobs[i])
+		if !CleanJob(&out.Jobs[len(out.Jobs)-1], maxProcs) {
+			out.Jobs = out.Jobs[:len(out.Jobs)-1]
 		}
 	}
 	sort.SliceStable(out.Jobs, func(a, b int) bool {

@@ -144,6 +144,23 @@ func TestCleanSourceSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCleanSourceErrorIsFinal: once the source below fails, the
+// cleaner returns that error on every call and never the jobs it had
+// buffered before it.
+func TestCleanSourceErrorIsFinal(t *testing.T) {
+	const text = "; MaxProcs: 8\n" +
+		"1 10 -1 5 1 -1 -1 1 9 -1 1 1 1 1 1 1 -1 -1\n" +
+		"2 10 -1 5 1 -1 -1 1 9 -1 1 1 1 1 1 1 -1 -1\n" +
+		"bad line\n"
+	src := NewCleanSource(NewScanSource(swf.NewScanner(strings.NewReader(text))), 8)
+	for i := 0; i < 4; i++ {
+		j, err := src.NextJob()
+		if err == nil || !strings.HasPrefix(err.Error(), "swf: line 4:") {
+			t.Fatalf("call %d: job %d, error %v; want the line-4 error", i+1, j.JobNumber, err)
+		}
+	}
+}
+
 func ids(jobs []swf.Job) []int64 {
 	out := make([]int64, len(jobs))
 	for i := range jobs {
